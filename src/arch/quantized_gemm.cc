@@ -96,80 +96,6 @@ computeRow(const std::vector<SegmentedVector> &rows,
     }
 }
 
-/** Rows / columns whose checksums disagree with the predictions. */
-struct Suspects
-{
-    std::vector<std::size_t> rows;
-    std::vector<std::size_t> cols;
-
-    bool clean() const { return rows.empty() && cols.empty(); }
-};
-
-/**
- * Verify C's row/column sums against predictions from the dequantized
- * operands. The checksum arithmetic runs in double over the exact
- * values the datapath multiplies, so only FP32 output rounding and
- * per-segment dequantization rounding contribute to the residual —
- * the tolerance is independent of the quantization error and thus of
- * the HQT operand width.
- */
-Suspects
-verifyChecksums(const std::vector<SegmentedVector> &rows,
-                const std::vector<SegmentedVector> &cols,
-                const Tensor &c, std::size_t k, std::size_t block_k,
-                double rel_tol, double abs_tol)
-{
-    const std::size_t m = rows.size(), n = cols.size();
-    // Row-sum and abs-sum of the dequantized B columns, per k index.
-    std::vector<double> b_rowsum(k, 0.0), b_abssum(k, 0.0);
-    for (std::size_t j = 0; j < n; ++j) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = dequantAt(cols[j], kk, block_k);
-            b_rowsum[kk] += v;
-            b_abssum[kk] += std::fabs(v);
-        }
-    }
-    std::vector<double> a_colsum(k, 0.0), a_abssum(k, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = dequantAt(rows[i], kk, block_k);
-            a_colsum[kk] += v;
-            a_abssum[kk] += std::fabs(v);
-        }
-    }
-
-    Suspects out;
-    for (std::size_t i = 0; i < m; ++i) {
-        double expected = 0.0, bound = 0.0, actual = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = dequantAt(rows[i], kk, block_k);
-            expected += v * b_rowsum[kk];
-            bound += std::fabs(v) * b_abssum[kk];
-        }
-        for (std::size_t j = 0; j < n; ++j)
-            actual += c.at2(i, j);
-        if (std::fabs(actual - expected) > rel_tol * bound + abs_tol ||
-            !std::isfinite(actual)) {
-            out.rows.push_back(i);
-        }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-        double expected = 0.0, bound = 0.0, actual = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = dequantAt(cols[j], kk, block_k);
-            expected += a_colsum[kk] * v;
-            bound += a_abssum[kk] * std::fabs(v);
-        }
-        for (std::size_t i = 0; i < m; ++i)
-            actual += c.at2(i, j);
-        if (std::fabs(actual - expected) > rel_tol * bound + abs_tol ||
-            !std::isfinite(actual)) {
-            out.cols.push_back(j);
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 Tensor
@@ -220,77 +146,28 @@ quantizedMatmul(const Tensor &a, const Tensor &b,
             computeRow(rows, cols, c, i, k, options);
     });
 
-    const QuantizedGemmAbft &abft_cfg = options.abft;
-    if (abft_cfg.faults != nullptr) {
-        // Upsets in the accumulators / output tile, landing after the
-        // compute and before the checksum verification (serial on the
-        // calling thread, deterministic at any CQ_THREADS).
-        abft_cfg.faults->maybeCorrupt(c.data(), c.numel(),
-                                      sim::FaultSite::Accumulators);
-    }
-    if (!abft_cfg.verify)
+    if (options.abft == nullptr)
         return c;
-
-    const double rel_tol = abft_cfg.relTol > 0.0
-                               ? abft_cfg.relTol
-                               : abft::abftAutoRelTol(k);
-    constexpr double kAbsTol = 1e-30;
-    StatGroup *stats = abft_cfg.stats;
-    if (stats != nullptr)
-        stats->add("abft.gemms", 1.0);
-
-    abft::AbftReport rep;
-    Suspects suspects = verifyChecksums(rows, cols, c, k,
-                                        options.blockK, rel_tol,
-                                        kAbsTol);
-    rep.suspectRows = suspects.rows.size();
-    rep.suspectCols = suspects.cols.size();
-    if (!suspects.clean() && stats != nullptr) {
-        stats->add("abft.mismatches", 1.0);
-        stats->add("abft.suspectRows",
-                   static_cast<double>(suspects.rows.size()));
-        stats->add("abft.suspectCols",
-                   static_cast<double>(suspects.cols.size()));
-    }
-
-    int retries_left = abft_cfg.maxRetries;
-    while (!suspects.clean() && retries_left-- > 0) {
-        ++rep.retries;
-        if (stats != nullptr)
-            stats->add("abft.retries", 1.0);
-        if (!suspects.rows.empty()) {
-            for (std::size_t i : suspects.rows)
-                computeRow(rows, cols, c, i, k, options);
-        } else {
-            // Column-only implication (a row-sum cancellation):
-            // recomputing the full rows those columns cross is the
-            // tile granularity the accumulators redo.
+    // Checksums are predicted from the dequantized operands -- the
+    // exact values the PE array multiplies -- so only FP32 output and
+    // per-segment dequantization rounding reach the residual, and the
+    // tolerance holds at every HQT operand width.
+    abft::checkProduct(
+        c, *options.abft,
+        [&] {
+            std::vector<double> av(m * k), bv(k * n);
             for (std::size_t i = 0; i < m; ++i)
-                computeRow(rows, cols, c, i, k, options);
-        }
-        if (abft_cfg.corruptRetries && abft_cfg.faults != nullptr) {
-            abft_cfg.faults->maybeCorrupt(
-                c.data(), c.numel(), sim::FaultSite::Accumulators);
-        }
-        suspects = verifyChecksums(rows, cols, c, k, options.blockK,
-                                   rel_tol, kAbsTol);
-    }
-
-    if (rep.retries > 0 && suspects.clean()) {
-        rep.corrected = true;
-        if (stats != nullptr)
-            stats->add("abft.corrected", 1.0);
-    } else if (!suspects.clean()) {
-        rep.escalated = true;
-        if (stats != nullptr)
-            stats->add("abft.escalations", 1.0);
-        warn("abft: quantized GEMM checksum mismatch survived %d "
-             "recompute pass(es) (%zu row(s), %zu col(s))",
-             abft_cfg.maxRetries, suspects.rows.size(),
-             suspects.cols.size());
-    }
-    if (report != nullptr)
-        *report = rep;
+                for (std::size_t kk = 0; kk < k; ++kk)
+                    av[i * k + kk] = dequantAt(rows[i], kk, options.blockK);
+            for (std::size_t kk = 0; kk < k; ++kk)
+                for (std::size_t j = 0; j < n; ++j)
+                    bv[kk * n + j] = dequantAt(cols[j], kk, options.blockK);
+            return abft::predictChecksums(av.data(), bv.data(), m, k, n);
+        },
+        [&](Tensor &t, std::size_t i) {
+            computeRow(rows, cols, t, i, k, options);
+        },
+        report);
     return c;
 }
 

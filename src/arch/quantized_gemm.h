@@ -14,9 +14,9 @@
  * computed from the *dequantized operand values* — the exact numbers
  * the PE array multiplies — so the tolerance only has to absorb
  * FP32/segment rounding, not quantization error, and is therefore
- * valid at every HQT operand width. A mismatch triggers one
- * recomputation of the implicated rows (retry), and a persistent
- * mismatch is reported for the caller to escalate.
+ * valid at every HQT operand width. The verify/retry/escalate ladder
+ * is abft::checkProduct(), shared with the float abftMatmul(); a
+ * retry recomputes the implicated rows through the same datapath.
  */
 
 #ifndef CQ_ARCH_QUANTIZED_GEMM_H
@@ -24,34 +24,11 @@
 
 #include <cstddef>
 
-#include "common/stats.h"
 #include "quant/block_quant.h"
-#include "sim/faults/fault_injector.h"
 #include "tensor/abft.h"
 #include "tensor/tensor.h"
 
 namespace cq::arch {
-
-/** ABFT checksum options for the quantized datapath. */
-struct QuantizedGemmAbft
-{
-    /** Verify row/column checksums of the product. */
-    bool verify = false;
-    /** Relative tolerance; 0 = sqrt(k)-scaled auto tolerance. */
-    double relTol = 0.0;
-    /** Recompute passes before reporting escalation. */
-    int maxRetries = 1;
-    /** Counter sink for abft.* statistics (may be nullptr). */
-    StatGroup *stats = nullptr;
-    /**
-     * Post-compute injection pass over the output tile (the
-     * Accumulators fault site), applied once after the initial
-     * compute. Retries model a transient-upset recovery and run
-     * clean unless corruptRetries is set.
-     */
-    sim::FaultInjector *faults = nullptr;
-    bool corruptRetries = false;
-};
 
 /** Options for the functional quantized GEMM. */
 struct QuantizedGemmOptions
@@ -65,8 +42,12 @@ struct QuantizedGemmOptions
      * per segment into FP32.
      */
     std::size_t blockK = 64;
-    /** ABFT checksum configuration (off by default). */
-    QuantizedGemmAbft abft;
+    /**
+     * ABFT checksum configuration; nullptr (the default) computes
+     * the product unchecked. Its corruptOutput hook is the
+     * Accumulators fault site: bind a sim::FaultInjector pass there.
+     */
+    const abft::AbftConfig *abft = nullptr;
 };
 
 /**
@@ -74,7 +55,7 @@ struct QuantizedGemmOptions
  * quantized row-wise and B column-wise in k-segments of blockK
  * elements; products are computed with PeArray::bitSerialMultiply and
  * accumulated exactly as the adder tree + shift-adder do. With
- * options.abft.verify the product is checksum-verified; @p report
+ * options.abft the product goes through abft::checkProduct(); @p report
  * (when non-null) receives what the checksum pass found and fixed.
  */
 Tensor quantizedMatmul(const Tensor &a, const Tensor &b,

@@ -88,7 +88,7 @@ struct CrashHarnessConfig
     /** @{ */
     /** SEC-DED ECC sidebands over the master tensors. */
     bool ecc = false;
-    /** ABFT checksum verification on every GEMM. */
+    /** ABFT checksum verification on every forward cq::matmul(). */
     bool abft = false;
     /** Fault injection rate in bit flips per Mbit per step over the
      *  master weights, gradients and accumulators (0 = no injector). */

@@ -89,8 +89,8 @@ QuantTrainer::QuantTrainer(Network &network, QuantTrainerConfig config)
             }
         }
         // The scope config is prepared even when abft.enabled is
-        // false: the unprotected bench arm still routes GEMMs through
-        // the scope (verify off) so every arm draws the same
+        // false: the unprotected bench arm still routes cq::matmul()
+        // through the scope (verify off) so every arm draws the same
         // accumulator fault pattern from the shared injector.
         abftConfig_.verify = r.abft.enabled;
         abftConfig_.relTol = r.abft.relTol;

@@ -66,11 +66,13 @@ struct EccPolicy
     std::size_t scrubWordsPerStep = 0;
 };
 
-/** Tier-2 correction: ABFT checksums on every GEMM of the step. */
+/** Tier-2 correction: ABFT checksums on the step's forward GEMMs. */
 struct AbftPolicy
 {
     /** Route every cq::matmul() of forward/backward through the
-     *  checksummed abftMatmul() (tensor/abft.h). */
+     *  checksummed abftMatmul() (tensor/abft.h). That covers the
+     *  layers' forward GEMMs only: the backward passes'
+     *  matmulTransA()/matmulTransB() run unchecked. */
     bool enabled = false;
     /** Relative tolerance; 0 = sqrt(k)-scaled auto tolerance. */
     double relTol = 0.0;

@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON writing helpers shared by the observability exporters
  * (Chrome trace events, metric snapshots, telemetry JSONL). Writing
- * only — the repo never needs to parse JSON, so there is no parser.
+ * only; the parser is common/json.h.
  */
 
 #ifndef CQ_OBS_JSONW_H

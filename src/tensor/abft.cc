@@ -29,53 +29,8 @@ class ScopeSuspend
     const AbftConfig *saved_;
 };
 
-/**
- * Recompute output row @p i exactly as the matmul kernel does
- * (i-k-j order, FP32 accumulation, zero-skip), so a retried row is
- * bitwise identical to an uncorrupted first pass.
- */
-void
-recomputeRow(const Tensor &a, const Tensor &b, Tensor &c,
-             std::size_t i)
-{
-    const std::size_t k = a.dim(1), n = b.dim(1);
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *crow = c.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j)
-        crow[j] = 0.0f;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = pa[i * k + kk];
-        if (av == 0.0f)
-            continue;
-        const float *brow = pb + kk * n;
-        for (std::size_t j = 0; j < n; ++j)
-            crow[j] += av * brow[j];
-    }
-}
-
-/** Recompute output column @p j (same order per element). */
-void
-recomputeCol(const Tensor &a, const Tensor &b, Tensor &c,
-             std::size_t j)
-{
-    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *pc = c.data();
-    for (std::size_t i = 0; i < m; ++i) {
-        float acc = 0.0f;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const float av = pa[i * k + kk];
-            if (av == 0.0f)
-                continue;
-            acc += av * pb[kk * n + j];
-        }
-        pc[i * n + j] = acc;
-    }
-}
-
-struct ChecksumVerdict
+/** Rows and columns whose checksums disagree with the prediction. */
+struct Suspects
 {
     std::vector<std::size_t> rows;
     std::vector<std::size_t> cols;
@@ -84,83 +39,96 @@ struct ChecksumVerdict
 };
 
 /**
- * Verify the row/column checksums of @p c against the predictions
- * from @p a and @p b. All checksum arithmetic runs in double; the
- * tolerance is scaled by the absolute-value bound of each sum, so a
- * checksum over large cancelling terms is not spuriously flagged.
+ * Check the row/column sums of @p c, accumulated in double, against
+ * the prediction. The tolerance scales with each sum's absolute-value
+ * bound, so a checksum over large cancelling terms is not spuriously
+ * flagged.
  */
-ChecksumVerdict
-verifyChecksums(const Tensor &a, const Tensor &b, const Tensor &c,
+Suspects
+verifyChecksums(const Tensor &c, const Checksums &expected,
                 double rel_tol, double abs_tol)
 {
-    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    const float *pa = a.data();
-    const float *pb = b.data();
+    const std::size_t m = c.dim(0), n = c.dim(1);
     const float *pc = c.data();
+    auto mismatch = [&](double actual, double want, double bound) {
+        return std::fabs(actual - want) > rel_tol * bound + abs_tol ||
+               !std::isfinite(actual);
+    };
 
-    // Row-sum vector of B and its absolute-value companion.
-    std::vector<double> b_rowsum(k, 0.0), b_abssum(k, 0.0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float *brow = pb + kk * n;
-        double s = 0.0, sa = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
-            s += brow[j];
-            sa += std::fabs(brow[j]);
-        }
-        b_rowsum[kk] = s;
-        b_abssum[kk] = sa;
-    }
-    // Column-sum vector of A and its absolute-value companion.
-    std::vector<double> a_colsum(k, 0.0), a_abssum(k, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *arow = pa + i * k;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            a_colsum[kk] += arow[kk];
-            a_abssum[kk] += std::fabs(arow[kk]);
-        }
-    }
-
-    ChecksumVerdict verdict;
-    // Row checksums: sum_j C[i][j] vs sum_k A[i][k] * rowsum(B)[k].
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *arow = pa + i * k;
-        const float *crow = pc + i * n;
-        double expected = 0.0, bound = 0.0, actual = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            expected += arow[kk] * b_rowsum[kk];
-            bound += std::fabs(arow[kk]) * b_abssum[kk];
-        }
-        for (std::size_t j = 0; j < n; ++j)
-            actual += crow[j];
-        if (std::fabs(actual - expected) >
-                rel_tol * bound + abs_tol ||
-            !std::isfinite(actual)) {
-            verdict.rows.push_back(i);
-        }
-    }
-    // Column checksums: sum_i C[i][j] vs colsum(A) * B[:, j].
+    Suspects out;
     std::vector<double> col_actual(n, 0.0);
     for (std::size_t i = 0; i < m; ++i) {
         const float *crow = pc + i * n;
-        for (std::size_t j = 0; j < n; ++j)
+        double actual = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            actual += crow[j];
             col_actual[j] += crow[j];
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-        double expected = 0.0, bound = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            expected += a_colsum[kk] * pb[kk * n + j];
-            bound += a_abssum[kk] * std::fabs(pb[kk * n + j]);
         }
-        if (std::fabs(col_actual[j] - expected) >
-                rel_tol * bound + abs_tol ||
-            !std::isfinite(col_actual[j])) {
-            verdict.cols.push_back(j);
-        }
+        if (mismatch(actual, expected.rowSum[i], expected.rowBound[i]))
+            out.rows.push_back(i);
     }
-    return verdict;
+    for (std::size_t j = 0; j < n; ++j)
+        if (mismatch(col_actual[j], expected.colSum[j],
+                     expected.colBound[j]))
+            out.cols.push_back(j);
+    return out;
 }
 
 } // namespace
+
+template <class T>
+Checksums
+predictChecksums(const T *a, const T *b, std::size_t m, std::size_t k,
+                 std::size_t n)
+{
+    // Row-sum vector of B, column-sum vector of A, and their
+    // absolute-value companions.
+    std::vector<double> b_rowsum(k, 0.0), b_abssum(k, 0.0);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        for (std::size_t j = 0; j < n; ++j) {
+            b_rowsum[kk] += b[kk * n + j];
+            b_abssum[kk] += std::fabs(b[kk * n + j]);
+        }
+    }
+    std::vector<double> a_colsum(k, 0.0), a_abssum(k, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            a_colsum[kk] += a[i * k + kk];
+            a_abssum[kk] += std::fabs(a[i * k + kk]);
+        }
+    }
+
+    Checksums out;
+    out.k = k;
+    // Row i: sum_j C[i][j] = sum_k A[i][k] * rowsum(B)[k].
+    out.rowSum.assign(m, 0.0);
+    out.rowBound.assign(m, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const double v = a[i * k + kk];
+            out.rowSum[i] += v * b_rowsum[kk];
+            out.rowBound[i] += std::fabs(v) * b_abssum[kk];
+        }
+    }
+    // Column j: sum_i C[i][j] = colsum(A) * B[:, j].
+    out.colSum.assign(n, 0.0);
+    out.colBound.assign(n, 0.0);
+    for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const double v = b[kk * n + j];
+            out.colSum[j] += a_colsum[kk] * v;
+            out.colBound[j] += a_abssum[kk] * std::fabs(v);
+        }
+    }
+    return out;
+}
+
+template Checksums predictChecksums<float>(const float *, const float *,
+                                           std::size_t, std::size_t,
+                                           std::size_t);
+template Checksums predictChecksums<double>(const double *,
+                                            const double *, std::size_t,
+                                            std::size_t, std::size_t);
 
 double
 abftAutoRelTol(std::size_t k)
@@ -174,6 +142,77 @@ abftAutoRelTol(std::size_t k)
            static_cast<double>(FLT_EPSILON);
 }
 
+void
+checkProduct(Tensor &c, const AbftConfig &config,
+             const std::function<Checksums()> &predict,
+             const std::function<void(Tensor &, std::size_t)> &recomputeRow,
+             AbftReport *report)
+{
+    if (config.corruptOutput)
+        config.corruptOutput(c);
+    if (!config.verify)
+        return;
+
+    const Checksums expected = predict();
+    const double rel_tol = config.relTol > 0.0
+                               ? config.relTol
+                               : abftAutoRelTol(expected.k);
+    StatGroup *stats = config.stats;
+    if (stats != nullptr)
+        stats->add("abft.gemms", 1.0);
+
+    AbftReport rep;
+    Suspects suspects =
+        verifyChecksums(c, expected, rel_tol, config.absTol);
+    rep.suspectRows = suspects.rows.size();
+    rep.suspectCols = suspects.cols.size();
+    if (!suspects.clean() && stats != nullptr) {
+        stats->add("abft.mismatches", 1.0);
+        stats->add("abft.suspectRows",
+                   static_cast<double>(suspects.rows.size()));
+        stats->add("abft.suspectCols",
+                   static_cast<double>(suspects.cols.size()));
+    }
+
+    int retries_left = config.maxRetries;
+    while (!suspects.clean() && retries_left-- > 0) {
+        ++rep.retries;
+        if (stats != nullptr)
+            stats->add("abft.retries", 1.0);
+        if (!suspects.rows.empty()) {
+            for (std::size_t i : suspects.rows)
+                recomputeRow(c, i);
+        } else {
+            // Column-only implication (a row-sum cancellation):
+            // recompute every row the suspect columns cross.
+            for (std::size_t i = 0; i < c.dim(0); ++i)
+                recomputeRow(c, i);
+        }
+        // A persistently faulty accumulator corrupts the retry too;
+        // a transient-upset model (corruptRetries false) retries
+        // clean.
+        if (config.corruptRetries && config.corruptOutput)
+            config.corruptOutput(c);
+        suspects = verifyChecksums(c, expected, rel_tol, config.absTol);
+    }
+
+    if (rep.retries > 0 && suspects.clean()) {
+        rep.corrected = true;
+        if (stats != nullptr)
+            stats->add("abft.corrected", 1.0);
+    } else if (!suspects.clean()) {
+        rep.escalated = true;
+        if (stats != nullptr)
+            stats->add("abft.escalations", 1.0);
+        warn("abft: checksum mismatch survived %d recompute pass(es) "
+             "(%zu suspect row(s), %zu suspect col(s)) — escalating",
+             config.maxRetries, suspects.rows.size(),
+             suspects.cols.size());
+    }
+    if (report != nullptr)
+        *report = rep;
+}
+
 Tensor
 abftMatmul(const Tensor &a, const Tensor &b, const AbftConfig &config,
            AbftReport *report)
@@ -184,67 +223,14 @@ abftMatmul(const Tensor &a, const Tensor &b, const AbftConfig &config,
                   shapeToString(b.shape()).c_str());
     ScopeSuspend suspend; // raw products below, no recursion
     Tensor c = matmul(a, b);
-    if (config.corruptOutput)
-        config.corruptOutput(c);
-    if (!config.verify)
-        return c;
-
-    const std::size_t k = a.dim(1);
-    const double rel_tol =
-        config.relTol > 0.0 ? config.relTol : abftAutoRelTol(k);
-    StatGroup *stats = config.stats;
-    if (stats != nullptr)
-        stats->add("abft.gemms", 1.0);
-
-    AbftReport rep;
-    ChecksumVerdict verdict =
-        verifyChecksums(a, b, c, rel_tol, config.absTol);
-    rep.suspectRows = verdict.rows.size();
-    rep.suspectCols = verdict.cols.size();
-    if (!verdict.clean() && stats != nullptr) {
-        stats->add("abft.mismatches", 1.0);
-        stats->add("abft.suspectRows",
-                   static_cast<double>(verdict.rows.size()));
-        stats->add("abft.suspectCols",
-                   static_cast<double>(verdict.cols.size()));
-    }
-
-    int retries_left = config.maxRetries;
-    while (!verdict.clean() && retries_left-- > 0) {
-        ++rep.retries;
-        if (stats != nullptr)
-            stats->add("abft.retries", 1.0);
-        // Recompute the implicated tile: every suspect row, then any
-        // suspect column the row pass did not already cover (a
-        // cancelling corruption can implicate a column alone).
-        for (std::size_t i : verdict.rows)
-            recomputeRow(a, b, c, i);
-        if (verdict.rows.empty())
-            for (std::size_t j : verdict.cols)
-                recomputeCol(a, b, c, j);
-        // A persistently faulty accumulator corrupts the retry too;
-        // a transient-upset model (corruptRetries false) retries
-        // clean.
-        if (config.corruptRetries && config.corruptOutput)
-            config.corruptOutput(c);
-        verdict = verifyChecksums(a, b, c, rel_tol, config.absTol);
-    }
-
-    if (rep.retries > 0 && verdict.clean()) {
-        rep.corrected = true;
-        if (stats != nullptr)
-            stats->add("abft.corrected", 1.0);
-    } else if (!verdict.clean()) {
-        rep.escalated = true;
-        if (stats != nullptr)
-            stats->add("abft.escalations", 1.0);
-        warn("abft: checksum mismatch survived %d recompute pass(es) "
-             "(%zu suspect row(s), %zu suspect col(s)) — escalating",
-             config.maxRetries, verdict.rows.size(),
-             verdict.cols.size());
-    }
-    if (report != nullptr)
-        *report = rep;
+    checkProduct(
+        c, config,
+        [&] {
+            return predictChecksums(a.data(), b.data(), a.dim(0),
+                                    a.dim(1), b.dim(1));
+        },
+        [&](Tensor &t, std::size_t i) { matmulRows(a, b, t, i, i + 1); },
+        report);
     return c;
 }
 

@@ -12,7 +12,9 @@
  *
  * The verification ladder is *retry-then-degrade* (DESIGN.md §5.4):
  * a checksum mismatch triggers one recomputation of the implicated
- * rows/columns; if the recomputed tile verifies, the fault was
+ * rows (of every row when only columns are implicated, as a
+ * cancelling corruption can leave every row sum intact); if the
+ * recomputed tile verifies, the fault was
  * transient and the corrected product is returned (counter
  * `abft.corrected`); if the mismatch persists, the GEMM escalates
  * (`abft.escalations`) and the caller — the QuantTrainer — discards
@@ -27,11 +29,18 @@
  * raise no false alarm (tests/test_ecc_abft.cc) while a flipped
  * exponent or high-mantissa bit stays far above it.
  *
- * Two entry points:
+ * Entry points:
  *  - abftMatmul(): explicit checksummed GEMM.
  *  - AbftScope: a thread-local RAII scope that reroutes every
- *    cq::matmul() issued inside it (e.g. by nn layers during a
- *    trainer step) through abftMatmul() with the scope's config.
+ *    cq::matmul() issued inside it (e.g. the nn layers' forward
+ *    GEMMs during a trainer step) through abftMatmul() with the
+ *    scope's config. cq::matmulTransA()/matmulTransB(), which the
+ *    layers' backward passes use, are not rerouted and run
+ *    unchecked.
+ *  - checkProduct(): the verify/retry/escalate ladder itself, shared
+ *    by abftMatmul() and the quantized datapath
+ *    (arch::quantizedMatmul), which predicts its checksums from its
+ *    own dequantized operands.
  */
 
 #ifndef CQ_TENSOR_ABFT_H
@@ -39,6 +48,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "common/stats.h"
 #include "tensor/tensor.h"
@@ -99,6 +109,40 @@ struct AbftReport
 };
 
 /**
+ * Predicted row and column sums of C = A * B, with the sums of
+ * absolute terms that scale each check's tolerance.
+ */
+struct Checksums
+{
+    std::size_t k = 0; ///< reduction depth (sets the auto tolerance)
+    std::vector<double> rowSum, rowBound; ///< one per output row
+    std::vector<double> colSum, colBound; ///< one per output column
+};
+
+/**
+ * Checksums of C = A(m x k) * B(k x n) from row-major operand values,
+ * accumulated in double. T is float or double.
+ */
+template <class T>
+Checksums predictChecksums(const T *a, const T *b, std::size_t m,
+                           std::size_t k, std::size_t n);
+
+/**
+ * The retry-then-degrade ladder for a freshly computed product @p c.
+ * Applies config.corruptOutput; with config.verify, checks c against
+ * @p predict() and recomputes the suspect rows through
+ * @p recomputeRow(c, i) -- every row when only columns are flagged --
+ * until the checksums hold or config.maxRetries passes are spent.
+ * recomputeRow must reproduce the first pass bit for bit. @p report
+ * (when non-null) is filled only when verification runs.
+ */
+void checkProduct(Tensor &c, const AbftConfig &config,
+                  const std::function<Checksums()> &predict,
+                  const std::function<void(Tensor &, std::size_t)>
+                      &recomputeRow,
+                  AbftReport *report = nullptr);
+
+/**
  * C = A * B with row/column checksum verification and
  * retry-then-degrade recovery. Bitwise identical to cq::matmul() when
  * no fault fires (verification never perturbs a clean product).
@@ -109,9 +153,10 @@ Tensor abftMatmul(const Tensor &a, const Tensor &b,
 
 /**
  * While alive on a thread, every cq::matmul() on that thread runs
- * through abftMatmul() with this scope's config. Scopes nest (the
- * innermost wins); the checksum pass itself runs scope-suspended, so
- * there is no recursion.
+ * through abftMatmul() with this scope's config; matmulTransA() and
+ * matmulTransB() are not covered. Scopes nest (the innermost wins);
+ * the checksum pass itself runs scope-suspended, so there is no
+ * recursion.
  */
 class AbftScope
 {

@@ -44,6 +44,59 @@ rowGrain(std::size_t work_per_row)
         1, kMinParallelWork / std::max<std::size_t>(work_per_row, 1));
 }
 
+/**
+ * The one float GEMM kernel, and its accumulation contract
+ * (DESIGN.md §4.4): rows [lo, hi) of the m x n product C = A * B,
+ * where A's element (i, kk) sits at a[i * a_row_stride +
+ * kk * a_k_stride] and B is k x n row-major. Each output row is
+ * cleared, then accumulated in FP32 in ascending kk order, skipping
+ * every kk whose A element is zero. Rows are independent, so any row
+ * range -- a pool chunk or one ABFT retry row -- yields the same bits.
+ */
+void
+gemmRows(const float *a, std::size_t a_row_stride, std::size_t a_k_stride,
+         const float *b, float *c, std::size_t k, std::size_t n,
+         std::size_t lo, std::size_t hi)
+{
+    for (std::size_t i = lo; i < hi; ++i) {
+        const float *arow = a + i * a_row_stride;
+        float *crow = c + i * n;
+        std::fill(crow, crow + n, 0.0f);
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const float av = arow[kk * a_k_stride];
+            if (av == 0.0f)
+                continue;
+            const float *brow = b + kk * n;
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] += av * brow[j];
+        }
+    }
+}
+
+/**
+ * The m x n product of A (strided as in gemmRows) and the k x n
+ * matrix @p b, chunked over output rows on the pool.
+ */
+Tensor
+gemm(const float *a, std::size_t a_row_stride, std::size_t a_k_stride,
+     const Tensor &b, std::size_t m)
+{
+    const std::size_t k = b.dim(0), n = b.dim(1);
+    static obs::Counter &calls =
+        obs::MetricRegistry::instance().counter("gemm.calls");
+    static obs::Counter &macs =
+        obs::MetricRegistry::instance().counter("gemm.macs");
+    calls.inc();
+    macs.add(static_cast<double>(m) * static_cast<double>(k) *
+             static_cast<double>(n));
+    Tensor c({m, n});
+    parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
+        gemmRows(a, a_row_stride, a_k_stride, b.data(), c.data(), k, n,
+                 lo, hi);
+    });
+    return c;
+}
+
 } // namespace
 
 Tensor
@@ -115,7 +168,7 @@ matmul(const Tensor &a, const Tensor &b)
                   "matmul: expects rank-2 operands, got %s x %s",
                   shapeToString(a.shape()).c_str(),
                   shapeToString(b.shape()).c_str());
-    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    const std::size_t m = a.dim(0), k = a.dim(1);
     CQ_ASSERT_MSG(b.dim(0) == k, "matmul: inner dims disagree, %s x %s",
                   shapeToString(a.shape()).c_str(),
                   shapeToString(b.shape()).c_str());
@@ -124,34 +177,17 @@ matmul(const Tensor &a, const Tensor &b)
     if (const abft::AbftConfig *cfg = abft::AbftScope::active())
         return abft::abftMatmul(a, b, *cfg);
     CQ_TRACE_SCOPE("gemm.matmul");
-    static obs::Counter &calls =
-        obs::MetricRegistry::instance().counter("gemm.calls");
-    static obs::Counter &macs =
-        obs::MetricRegistry::instance().counter("gemm.macs");
-    calls.inc();
-    macs.add(static_cast<double>(m) * static_cast<double>(k) *
-             static_cast<double>(n));
-    Tensor c({m, n});
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *pc = c.data();
-    // i-k-j loop order: unit-stride access on b and c rows. Output
-    // rows are independent, so chunking over i is deterministic: each
-    // c[i][j] accumulates in ascending kk order on every thread count.
-    parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = pa[i * k + kk];
-                if (av == 0.0f)
-                    continue;
-                const float *brow = pb + kk * n;
-                float *crow = pc + i * n;
-                for (std::size_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    });
-    return c;
+    return gemm(a.data(), k, 1, b, m);
+}
+
+void
+matmulRows(const Tensor &a, const Tensor &b, Tensor &c, std::size_t lo,
+           std::size_t hi)
+{
+    CQ_ASSERT(c.ndim() == 2 && c.dim(0) == a.dim(0) &&
+              c.dim(1) == b.dim(1) && hi <= c.dim(0));
+    gemmRows(a.data(), a.dim(1), 1, b.data(), c.data(), a.dim(1),
+             b.dim(1), lo, hi);
 }
 
 Tensor
@@ -161,40 +197,13 @@ matmulTransA(const Tensor &a, const Tensor &b)
                   "matmulTransA: expects rank-2 operands, got %s x %s",
                   shapeToString(a.shape()).c_str(),
                   shapeToString(b.shape()).c_str());
-    const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+    const std::size_t k = a.dim(0), m = a.dim(1);
     CQ_ASSERT_MSG(b.dim(0) == k,
                   "matmulTransA: A^T rows %zu != B rows %zu (%s^T x %s)",
                   k, b.dim(0), shapeToString(a.shape()).c_str(),
                   shapeToString(b.shape()).c_str());
     CQ_TRACE_SCOPE("gemm.matmulTransA");
-    static obs::Counter &calls =
-        obs::MetricRegistry::instance().counter("gemm.calls");
-    static obs::Counter &macs =
-        obs::MetricRegistry::instance().counter("gemm.macs");
-    calls.inc();
-    macs.add(static_cast<double>(m) * static_cast<double>(k) *
-             static_cast<double>(n));
-    Tensor c({m, n});
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *pc = c.data();
-    // i outermost so output rows can be chunked across threads; for a
-    // fixed (i, j) the accumulation still runs in ascending kk order,
-    // so the result is bitwise independent of the thread count.
-    parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            float *crow = pc + i * n;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = pa[kk * m + i];
-                if (av == 0.0f)
-                    continue;
-                const float *brow = pb + kk * n;
-                for (std::size_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    });
-    return c;
+    return gemm(a.data(), 1, m, b, m);
 }
 
 Tensor
@@ -204,36 +213,14 @@ matmulTransB(const Tensor &a, const Tensor &b)
                   "matmulTransB: expects rank-2 operands, got %s x %s",
                   shapeToString(a.shape()).c_str(),
                   shapeToString(b.shape()).c_str());
-    const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+    const std::size_t m = a.dim(0), k = a.dim(1);
     CQ_ASSERT_MSG(b.dim(1) == k,
                   "matmulTransB: A cols %zu != B^T rows %zu (%s x %s^T)",
                   k, b.dim(1), shapeToString(a.shape()).c_str(),
                   shapeToString(b.shape()).c_str());
     CQ_TRACE_SCOPE("gemm.matmulTransB");
-    static obs::Counter &calls =
-        obs::MetricRegistry::instance().counter("gemm.calls");
-    static obs::Counter &macs =
-        obs::MetricRegistry::instance().counter("gemm.macs");
-    calls.inc();
-    macs.add(static_cast<double>(m) * static_cast<double>(k) *
-             static_cast<double>(n));
-    Tensor c({m, n});
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *pc = c.data();
-    parallelFor(0, m, rowGrain(k * n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const float *arow = pa + i * k;
-            for (std::size_t j = 0; j < n; ++j) {
-                const float *brow = pb + j * k;
-                double acc = 0.0;
-                for (std::size_t kk = 0; kk < k; ++kk)
-                    acc += static_cast<double>(arow[kk]) * brow[kk];
-                pc[i * n + j] = static_cast<float>(acc);
-            }
-        }
-    });
-    return c;
+    // Pack B^T into k x n so the kernel streams its rows.
+    return gemm(a.data(), k, 1, transpose(b), m);
 }
 
 Tensor
@@ -243,9 +230,11 @@ transpose(const Tensor &a)
                   shapeToString(a.shape()).c_str());
     const std::size_t m = a.dim(0), n = a.dim(1);
     Tensor c({n, m});
+    const float *pa = a.data();
+    float *pc = c.data();
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
-            c.at2(j, i) = a.at2(i, j);
+            pc[j * m + i] = pa[i * n + j];
     return c;
 }
 

@@ -31,10 +31,21 @@ void accumulate(Tensor &a, const Tensor &b, float s = 1.0f);
 
 /**
  * Matrix multiply: (m x k) * (k x n) -> (m x n).
- * Plain triple loop with k-inner accumulation in double; correctness
- * reference for the accelerator's MM instruction.
+ * All three variants run one kernel with one accumulation contract
+ * (DESIGN.md §4.4): each c[i][j] is summed in FP32 over ascending k,
+ * skipping terms whose left-operand element is zero. So
+ * matmul(a, b), matmulTransA(transpose(a), b) and
+ * matmulTransB(a, transpose(b)) agree bit for bit, at any thread
+ * count. Inside an abft::AbftScope, matmul() is checksum-verified.
  */
 Tensor matmul(const Tensor &a, const Tensor &b);
+
+/**
+ * Recompute rows [lo, hi) of c = a * b in place, bitwise as matmul()
+ * computed them: the ABFT retry path.
+ */
+void matmulRows(const Tensor &a, const Tensor &b, Tensor &c,
+                std::size_t lo, std::size_t hi);
 
 /** Matrix multiply with the left operand transposed: a^T * b. */
 Tensor matmulTransA(const Tensor &a, const Tensor &b);

@@ -20,6 +20,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -60,9 +61,9 @@ std::string
 freshDir(const std::string &name)
 {
     const std::string dir = ::testing::TempDir() + name;
-    for (const std::string &f : listDir(dir))
-        std::remove((dir + "/" + f).c_str());
-    ::rmdir(dir.c_str());
+    // Recursive: a stale trial-N store from an earlier run would
+    // otherwise be resumed from.
+    std::filesystem::remove_all(dir);
     EXPECT_TRUE(ensureDir(dir));
     return dir;
 }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -389,6 +390,43 @@ TEST(Abft, TransientCorruptionRepairedToBitwiseCleanProduct)
     EXPECT_EQ(stats.get("abft.escalations"), 0.0);
 }
 
+/**
+ * One-shot fault that adds +delta and -delta to two elements of row
+ * @p row: the row sum is unchanged, so only columns are flagged.
+ */
+std::function<void(Tensor &)>
+cancellingRowFault(std::size_t row, int &shots)
+{
+    return [row, &shots](Tensor &c) {
+        if (shots-- <= 0)
+            return;
+        const float delta = 8.0f;
+        c.at2(row, 0) += delta;
+        c.at2(row, c.dim(1) - 1) -= delta;
+    };
+}
+
+TEST(Abft, ColumnOnlyMismatchRepairedToBitwiseCleanProduct)
+{
+    const Tensor a = randomTensor(11, 37, 61);
+    const Tensor b = randomTensor(37, 13, 62);
+    const Tensor plain = matmul(a, b);
+    StatGroup stats;
+    abft::AbftConfig cfg;
+    cfg.stats = &stats;
+    int shots = 1;
+    cfg.corruptOutput = cancellingRowFault(4, shots);
+    abft::AbftReport rep;
+    const Tensor checked = abft::abftMatmul(a, b, cfg, &rep);
+    EXPECT_EQ(rep.suspectRows, 0u);
+    EXPECT_EQ(rep.suspectCols, 2u);
+    EXPECT_TRUE(rep.corrected);
+    EXPECT_FALSE(rep.escalated);
+    EXPECT_EQ(0, std::memcmp(checked.data(), plain.data(),
+                             plain.numel() * sizeof(float)));
+    EXPECT_EQ(stats.get("abft.corrected"), 1.0);
+}
+
 TEST(Abft, PersistentCorruptionEscalates)
 {
     const Tensor a = randomTensor(10, 16, 55);
@@ -452,6 +490,8 @@ TEST(AbftQuantized, NoFalsePositivesAtEveryHqtWidth)
     // the quantized-domain checksums must absorb only FP rounding, so
     // the auto tolerance holds from 4-bit to 16-bit operands.
     StatGroup stats;
+    abft::AbftConfig cfg;
+    cfg.stats = &stats;
     Rng shapes(61);
     int gemms = 0;
     for (const int bits : {4, 8, 12, 16}) {
@@ -462,8 +502,7 @@ TEST(AbftQuantized, NoFalsePositivesAtEveryHqtWidth)
             arch::QuantizedGemmOptions opt;
             opt.bits = bits;
             opt.blockK = 32;
-            opt.abft.verify = true;
-            opt.abft.stats = &stats;
+            opt.abft = &cfg;
             const Tensor a = randomTensor(m, k, 1000 + gemms);
             const Tensor b = randomTensor(k, n, 9000 + gemms);
             abft::AbftReport rep;
@@ -485,8 +524,9 @@ TEST(AbftQuantized, VerificationDoesNotPerturbCleanProduct)
     const Tensor b = randomTensor(48, 7, 72);
     arch::QuantizedGemmOptions plain_opt;
     const Tensor plain = arch::quantizedMatmul(a, b, plain_opt);
+    abft::AbftConfig cfg;
     arch::QuantizedGemmOptions abft_opt;
-    abft_opt.abft.verify = true;
+    abft_opt.abft = &cfg;
     const Tensor checked = arch::quantizedMatmul(a, b, abft_opt);
     EXPECT_EQ(0, std::memcmp(checked.data(), plain.data(),
                              plain.numel() * sizeof(float)));
@@ -505,13 +545,41 @@ TEST(AbftQuantized, InjectedAccumulatorFaultCorrected)
     fcfg.targetAccumulators = true;
     sim::FaultInjector inj(fcfg);
     StatGroup stats;
+    abft::AbftConfig cfg;
+    cfg.stats = &stats;
+    cfg.corruptOutput = [&inj](Tensor &c) {
+        inj.maybeCorrupt(c.data(), c.numel(),
+                         sim::FaultSite::Accumulators);
+    };
+    cfg.corruptRetries = false; // retries run clean (transient model)
     arch::QuantizedGemmOptions opt;
-    opt.abft.verify = true;
-    opt.abft.stats = &stats;
-    opt.abft.faults = &inj; // retries run clean (transient model)
+    opt.abft = &cfg;
     abft::AbftReport rep;
     const Tensor fixed = arch::quantizedMatmul(a, b, opt, &rep);
     ASSERT_GT(inj.stats().get("faults.bitsFlipped"), 0.0);
+    EXPECT_TRUE(rep.corrected);
+    EXPECT_FALSE(rep.escalated);
+    EXPECT_EQ(0, std::memcmp(fixed.data(), clean.data(),
+                             clean.numel() * sizeof(float)));
+    EXPECT_EQ(stats.get("abft.corrected"), 1.0);
+}
+
+TEST(AbftQuantized, ColumnOnlyMismatchRepairedToBitwiseCleanProduct)
+{
+    const Tensor a = randomTensor(10, 48, 75);
+    const Tensor b = randomTensor(48, 9, 76);
+    const Tensor clean = arch::quantizedMatmul(a, b);
+    StatGroup stats;
+    abft::AbftConfig cfg;
+    cfg.stats = &stats;
+    int shots = 1;
+    cfg.corruptOutput = cancellingRowFault(7, shots);
+    arch::QuantizedGemmOptions opt;
+    opt.abft = &cfg;
+    abft::AbftReport rep;
+    const Tensor fixed = arch::quantizedMatmul(a, b, opt, &rep);
+    EXPECT_EQ(rep.suspectRows, 0u);
+    EXPECT_EQ(rep.suspectCols, 2u);
     EXPECT_TRUE(rep.corrected);
     EXPECT_FALSE(rep.escalated);
     EXPECT_EQ(0, std::memcmp(fixed.data(), clean.data(),

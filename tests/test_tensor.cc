@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "tensor/tensor.h"
@@ -115,19 +116,27 @@ TEST(TensorOps, MatmulSmallKnown)
 
 TEST(TensorOps, MatmulTransVariantsAgree)
 {
+    // One kernel, one accumulation contract: the three transposition
+    // variants must agree bit for bit, zero-skips included.
     Rng rng(5);
-    Tensor a({7, 5});
-    Tensor b({5, 6});
+    Tensor a({7, 13});
+    Tensor b({13, 5});
     a.fillGaussian(rng, 0.0f, 1.0f);
     b.fillGaussian(rng, 0.0f, 1.0f);
+    for (std::size_t i = 0; i < a.numel(); i += 3)
+        a[i] = 0.0f;
+    for (std::size_t i = 0; i < b.numel(); i += 4)
+        b[i] = 0.0f;
     const Tensor c = matmul(a, b);
 
-    const Tensor at = transpose(a);
-    const Tensor bt = transpose(b);
-    const Tensor c1 = matmulTransA(at, b);
-    const Tensor c2 = matmulTransB(a, bt);
-    EXPECT_LT(maxAbsDiff(c, c1), 1e-4);
-    EXPECT_LT(maxAbsDiff(c, c2), 1e-4);
+    const Tensor c1 = matmulTransA(transpose(a), b);
+    const Tensor c2 = matmulTransB(a, transpose(b));
+    ASSERT_EQ(c1.shape(), c.shape());
+    ASSERT_EQ(c2.shape(), c.shape());
+    EXPECT_EQ(0, std::memcmp(c.data(), c1.data(),
+                             c.numel() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(c.data(), c2.data(),
+                             c.numel() * sizeof(float)));
 }
 
 TEST(TensorOps, TransposeRoundTrip)
