@@ -14,6 +14,7 @@
  * which keeps the reported "speedup" honest.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -230,6 +231,24 @@ runArch(const WorkloadContext &ctx)
         });
         recordInterval(out, "dram_transfer_64k", t);
         out.set("dram_final_tick", static_cast<double>(t0));
+    }
+    {
+        // SLOAD-style stripes: 256 one-burst transfers at a row stride
+        // sharing one start tick. A one-burst transfer is one row
+        // segment, so this keeps the per-call cost visible.
+        dram::DramController ctrl(dram::DramConfig::lpddr4_2133());
+        Tick done = 0;
+        Addr addr = 0;
+        const auto t = timeIt(iters * 8, [&] {
+            const Tick now = ctrl.busFreeAt();
+            for (Addr s = 0; s < 256; ++s) {
+                done = std::max(
+                    done, ctrl.transfer(now, addr + s * 2048, 64, false));
+            }
+            addr += 256 * 2048;
+        });
+        recordInterval(out, "dram_stripes", t);
+        out.set("dram_stripes_final_tick", static_cast<double>(done));
     }
     {
         dram::DramController ctrl(dram::DramConfig::lpddr4_2133());

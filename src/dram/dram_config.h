@@ -7,6 +7,14 @@
  * to both Cambricon-Q and the TPU baseline. Timing parameters are
  * expressed in controller ticks; the whole simulation runs in the
  * 1 GHz accelerator clock domain, so one tick = 1 ns.
+ *
+ * burstBytes, rowBytes, numBanks and channels must be powers of two:
+ * the controller maps addresses with shifts and masks, and panics at
+ * construction on any other geometry. tBurst must leave every burst,
+ * the short fractional one included, at least one tick.
+ *
+ * Write recovery (tWR, end of write data -> PRECHARGE) is not
+ * modeled: a precharge after a write waits only for tRAS.
  */
 
 #ifndef CQ_DRAM_DRAM_CONFIG_H
@@ -27,7 +35,7 @@ struct DramConfig
     /** Bytes per row (row buffer size per bank). */
     Bytes rowBytes = 2048;
     /** Bytes transferred per column burst (BL16 on x64 -> 64 B is
-     *  split into one bus burst here). */
+     *  one bus burst here). */
     Bytes burstBytes = 64;
     /**
      * Addressable bytes per channel. Transfers beyond
@@ -46,7 +54,6 @@ struct DramConfig
     Tick tRP = 14;   ///< PRECHARGE -> ACTIVATE
     Tick tCAS = 14;  ///< column command -> first data
     Tick tRAS = 33;  ///< ACTIVATE -> PRECHARGE
-    Tick tWR = 15;   ///< end of write data -> PRECHARGE
     /**
      * Data-bus occupancy of one 64 B burst. 64 B at 17.06 GB/s is
      * 3.75 ns; we model it as alternating 4/4/4/3 tick bursts to keep

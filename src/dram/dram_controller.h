@@ -2,12 +2,19 @@
  * @file
  * Command-level DRAM controller model.
  *
- * Transfers are split into bus bursts; each burst is scheduled against
- * per-bank row state (ACTIVATE / PRECHARGE timing) and the shared data
- * bus. The model is transaction-driven: callers present transfers in
- * nondecreasing simulated time (the event-driven executor guarantees
- * this) and receive the completion tick. Row-hit/miss behaviour,
- * bandwidth saturation and per-command energy are all tracked.
+ * A transfer is scheduled one row segment at a time: the run of bursts
+ * that lands in one (bank, row) before the next refresh is due. On a
+ * single channel that is the rest of the open row; with burst-granular
+ * channel interleave each burst is its own segment. The first burst of
+ * a segment is scheduled against the bank's row state (ACTIVATE /
+ * PRECHARGE timing) and the data bus; the rest are row hits sent
+ * back to back, so the whole segment's bus time, bank state and
+ * counters follow in closed form. The timing equals scheduling every
+ * burst on its own, tick for tick. The model is transaction-driven:
+ * callers present transfers in nondecreasing simulated time (the
+ * event-driven executor guarantees this) and receive the completion
+ * tick. Row-hit/miss behaviour, bandwidth saturation and per-command
+ * energy are all tracked.
  *
  * The controller also implements the NDP engine's row protocol for
  * in-place weight update (Sec. IV-B3 of the paper): three ACTIVATEs
@@ -74,8 +81,9 @@ class DramController
      *  materialized from the internal fast counters. */
     StatGroup stats() const;
 
-    /** Dynamic energy accumulated so far (pJ). */
-    PicoJoule dynamicEnergy() const { return dynamicEnergy_; }
+    /** Dynamic energy so far (pJ): each command count times its
+     *  per-command cost. */
+    PicoJoule dynamicEnergy() const;
 
     /** Standby energy for a run of @p total_ticks (pJ). */
     PicoJoule standbyEnergy(Tick total_ticks) const;
@@ -100,15 +108,42 @@ class DramController
     /** Open @p row in @p bank if needed; returns column-ready tick. */
     Tick prepareRow(Tick earliest, std::size_t bank, std::uint64_t row);
 
-    /** Advance the (possibly fractional) burst duration. */
-    Tick burstDuration();
+    /** Data-bus ticks of @p n back-to-back bursts from the current
+     *  burst phase. */
+    Tick busTicks(std::uint64_t n) const;
+
+    /** Smallest n >= 1 with busTicks(n) >= @p ticks. */
+    std::uint64_t burstsSpanning(Tick ticks) const;
+
+    /**
+     * Send @p n bursts back to back on the data bus, the first at
+     * @p start; advances the bus and the burst phase. Returns the last
+     * burst's start plus its duration: when its bank can take the next
+     * column command. Its data completes tCAS later.
+     */
+    Tick runBursts(Tick start, std::uint64_t n);
 
     DramConfig config_;
     std::vector<BankState> banks_;
     Tick busFreeAt_ = 0;
     Bytes busBytes_ = 0;
+    /** Position in the 4/4/4/3 fractional-burst pattern. */
     unsigned burstPhase_ = 0;
-    PicoJoule dynamicEnergy_ = 0.0;
+
+    /** @name Address-map shifts and masks (see mapAddress) */
+    /** @{ */
+    unsigned burstShift_ = 0;
+    unsigned chanShift_ = 0;
+    unsigned rowShift_ = 0;
+    unsigned bankShift_ = 0;
+    /** Bytes of one row segment minus one: the row on one channel,
+     *  the burst when bursts interleave across channels. */
+    Addr segmentMask_ = 0;
+    /** @} */
+
+    /** Bus ticks of a full-length and of a fractional burst. */
+    Tick longBusTicks_ = 0;
+    Tick shortBusTicks_ = 0;
 
     /** @name Fast activity counters (hot path: no map lookups) */
     /** @{ */

@@ -1,18 +1,28 @@
 /**
  * @file
- * Tests for the event queue and the DRAM controller model.
+ * Tests for the event queue and the DRAM controller model, including
+ * the differential check of the row-segment controller against the
+ * per-burst oracle (dram_per_burst_oracle.h).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "arch/config.h"
+#include "arch/isa.h"
 #include "arch/ndp_engine.h"
 #include "common/rng.h"
+#include "compiler/codegen.h"
+#include "compiler/workloads.h"
 #include "dram/dram_controller.h"
+#include "dram_per_burst_oracle.h"
 #include "nn/optimizer.h"
 #include "sim/event_queue.h"
 
@@ -378,6 +388,36 @@ TEST(NdpEngineDeath, MismatchedRowSizesPanic)
                  "w/m/v/g row sizes differ");
 }
 
+TEST(DramDeath, NonPowerOfTwoGeometryPanics)
+{
+    dram::DramConfig banks = dram::DramConfig::lpddr4_2133();
+    banks.numBanks = 6;
+    EXPECT_DEATH(dram::DramController{banks},
+                 "DramConfig::numBanks = 6 is not a power of two");
+    EXPECT_DEATH(dram::DramController{dram::DramConfig::scaled(3)},
+                 "DramConfig::channels = 3 is not a power of two");
+    dram::DramConfig rows = dram::DramConfig::lpddr4_2133();
+    rows.rowBytes = 3000;
+    EXPECT_DEATH(dram::DramController{rows},
+                 "DramConfig::rowBytes = 3000 is not a power of two");
+    dram::DramConfig bursts = dram::DramConfig::lpddr4_2133();
+    bursts.burstBytes = 48;
+    EXPECT_DEATH(dram::DramController{bursts},
+                 "DramConfig::burstBytes = 48 is not a power of two");
+}
+
+TEST(DramDeath, ZeroTickBurstPanics)
+{
+    // tBurst = 1 would make the short fractional burst 0 ticks long.
+    dram::DramConfig cfg = dram::DramConfig::lpddr4_2133();
+    cfg.tBurst = 1;
+    EXPECT_DEATH(dram::DramController{cfg},
+                 "DramConfig::tBurst = 1 leaves a burst without a data");
+    cfg.fractionalBurst = false;
+    EXPECT_EQ(dram::DramController{cfg}.transfer(0, 0, 64, false),
+              cfg.tRCD + cfg.tCAS + 1);
+}
+
 TEST(Dram, RefreshClosesOpenRows)
 {
     dram::DramController ctrl(dram::DramConfig::lpddr4_2133());
@@ -387,6 +427,241 @@ TEST(Dram, RefreshClosesOpenRows)
     // was closed by the refresh, so this is another miss.
     ctrl.transfer(2 * ctrl.config().tREFI, 0, 64, false);
     EXPECT_GT(ctrl.stats().get("dram.rowMisses"), misses0);
+}
+
+// ------------------------------------- row segments vs per-burst oracle
+
+const std::array<const char *, 10> kDramCounters = {
+    "dram.activates",  "dram.precharges",  "dram.reads",
+    "dram.writes",     "dram.rowHits",     "dram.rowMisses",
+    "dram.busBytes",   "dram.ndpElements", "dram.ndpRowGroups",
+    "dram.refreshes"};
+
+/** Bus, counters and energy of @p fast equal @p ref's, bit for bit. */
+::testing::AssertionResult
+sameState(const dram::DramController &fast,
+          const dram::oracle::PerBurstDram &ref)
+{
+    if (fast.busFreeAt() != ref.busFreeAt()) {
+        return ::testing::AssertionFailure()
+               << "busFreeAt " << fast.busFreeAt() << " vs "
+               << ref.busFreeAt();
+    }
+    if (fast.busBytes() != ref.busBytes()) {
+        return ::testing::AssertionFailure()
+               << "busBytes " << fast.busBytes() << " vs "
+               << ref.busBytes();
+    }
+    const StatGroup a = fast.stats();
+    const StatGroup b = ref.stats();
+    for (const char *name : kDramCounters) {
+        if (a.get(name) != b.get(name)) {
+            return ::testing::AssertionFailure()
+                   << name << " " << a.get(name) << " vs "
+                   << b.get(name);
+        }
+    }
+    if (std::bit_cast<std::uint64_t>(fast.dynamicEnergy()) !=
+        std::bit_cast<std::uint64_t>(ref.dynamicEnergy())) {
+        return ::testing::AssertionFailure()
+               << "dynamicEnergy " << fast.dynamicEnergy() << " vs "
+               << ref.dynamicEnergy();
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** A random power-of-two geometry with random timings. */
+dram::DramConfig
+randomDramConfig(Rng &rng)
+{
+    dram::DramConfig cfg;
+    const unsigned channels[] = {1, 2, 4, 16};
+    cfg.channels = channels[rng.below(4)];
+    cfg.numBanks = std::size_t{1} << rng.below(5);
+    cfg.burstBytes = Bytes{16} << rng.below(4);
+    cfg.rowBytes = cfg.burstBytes << rng.below(6);
+    cfg.fractionalBurst = rng.below(2) == 0;
+    cfg.tBurst = (cfg.fractionalBurst ? 2 : 1) + rng.below(8);
+    cfg.tRCD = rng.below(20);
+    cfg.tRP = rng.below(20);
+    cfg.tCAS = rng.below(20);
+    cfg.tRAS = rng.below(40);
+    cfg.tCmd = rng.below(3);
+    cfg.refreshEnabled = rng.below(4) != 0;
+    // Mostly short refresh intervals, so refreshes split many
+    // segments; sometimes shorter than a row's worth of bursts.
+    cfg.tREFI = rng.below(3) == 0 ? 3900 : 20 + rng.below(600);
+    // tRFC below tREFI / 2, as in real parts: a longer one lets
+    // refreshes fall due faster than they complete.
+    cfg.tRFC = 1 + rng.below(cfg.tREFI / 2);
+    return cfg;
+}
+
+TEST(DramDifferential, RowSegmentsMatchPerBurstOracleBitwise)
+{
+    Rng rng(2021);
+    std::size_t ops = 0;
+    std::size_t refreshes = 0;
+    for (int c = 0; c < 400; ++c) {
+        const dram::DramConfig cfg = randomDramConfig(rng);
+        dram::DramController fast(cfg);
+        dram::oracle::PerBurstDram ref(cfg);
+        // A window a few rows wide in every bank, so streams, row
+        // conflicts and repeated rows all occur.
+        const Addr window = cfg.rowBytes * cfg.numBanks *
+                            cfg.channels * (1 + rng.below(4));
+        Tick now = 0;
+        Tick last_done = 0;
+        for (int i = 0; i < 250; ++i, ++ops) {
+            // Nondecreasing start ticks: shared (like SLOAD stripes),
+            // just after the bus frees, after the last completion, or
+            // after an idle gap.
+            switch (rng.below(4)) {
+              case 0:
+                break;
+              case 1:
+                now = std::max(now, ref.busFreeAt());
+                break;
+              case 2:
+                now = std::max(now, last_done);
+                break;
+              default:
+                now += rng.below(2 * cfg.tREFI);
+                break;
+            }
+            const Addr addr = rng.below(window);
+            Tick got;
+            Tick want;
+            if (rng.below(5) == 0) {
+                const Bytes elem = 1 + rng.below(8);
+                const std::size_t elems =
+                    1 + rng.below(3 * cfg.rowBytes / elem);
+                got = fast.ndpUpdate(now, addr, elems, elem);
+                want = ref.ndpUpdate(now, addr, elems, elem);
+            } else {
+                const Bytes bytes =
+                    rng.below(4) == 0
+                        ? 1 + rng.below(2 * cfg.burstBytes)
+                        : 1 + rng.below(3 * cfg.rowBytes);
+                const bool is_write = rng.below(2) == 0;
+                got = fast.transfer(now, addr, bytes, is_write);
+                want = ref.transfer(now, addr, bytes, is_write);
+            }
+            last_done = want;
+            ASSERT_EQ(got, want) << "config " << c << " op " << i;
+            ASSERT_TRUE(sameState(fast, ref))
+                << "config " << c << " op " << i;
+        }
+        refreshes +=
+            static_cast<std::size_t>(ref.stats().get("dram.refreshes"));
+    }
+    EXPECT_EQ(ops, 100000u);
+    EXPECT_GT(refreshes, 1000u); // the refresh split was exercised
+}
+
+TEST(Dram, DynamicEnergyEqualsCountersTimesCosts)
+{
+    dram::DramConfig cfg = dram::DramConfig::scaled(4);
+    cfg.tREFI = 500; // many refreshes
+    dram::DramController ctrl(cfg);
+    Rng rng(9);
+    Tick t = 0;
+    for (int i = 0; i < 200; ++i) {
+        const Addr addr = rng.below(1 << 20);
+        switch (i % 3) {
+          case 0:
+            t = ctrl.transfer(t, addr, 1 + rng.below(8192), false);
+            break;
+          case 1:
+            t = ctrl.transfer(t, addr, 1 + rng.below(8192), true);
+            break;
+          default:
+            t = ctrl.ndpUpdate(t, addr, 1 + rng.below(1024), 4);
+            break;
+        }
+    }
+    const StatGroup st = ctrl.stats();
+    EXPECT_GT(st.get("dram.refreshes"), 10.0);
+    EXPECT_GT(st.get("dram.ndpElements"), 0.0);
+    EXPECT_GT(st.get("dram.reads"), 0.0);
+    EXPECT_GT(st.get("dram.writes"), 0.0);
+    const PicoJoule expected =
+        st.get("dram.activates") * cfg.eActPre +
+        st.get("dram.reads") * cfg.eReadBurst +
+        st.get("dram.writes") * cfg.eWriteBurst +
+        st.get("dram.ndpElements") * cfg.eNdpPerElement +
+        st.get("dram.refreshes") * cfg.eRefresh * cfg.channels;
+    EXPECT_EQ(ctrl.dynamicEnergy(), expected);
+}
+
+/** Replay @p prog's memory instructions with the executor's mapping. */
+template <typename Dram>
+std::vector<Tick>
+replayProgram(const arch::Program &prog, Dram &dram)
+{
+    using arch::Opcode;
+    std::vector<Tick> ticks;
+    for (const arch::Instr &ins : prog) {
+        const Tick now = dram.busFreeAt();
+        switch (ins.op) {
+          case Opcode::VLOAD:
+          case Opcode::QLOAD:
+            ticks.push_back(dram.transfer(now, ins.addr, ins.bytes, false));
+            break;
+          case Opcode::VSTORE:
+          case Opcode::QSTORE:
+            ticks.push_back(dram.transfer(now, ins.addr, ins.bytes, true));
+            break;
+          case Opcode::SLOAD:
+          case Opcode::SSTORE: {
+            const std::uint64_t stripes =
+                std::max<std::uint64_t>(ins.elems, 1);
+            const Bytes per_stripe =
+                std::max<Bytes>(ins.bytes / stripes, 1);
+            for (std::uint64_t i = 0; i < stripes; ++i) {
+                ticks.push_back(dram.transfer(
+                    now, ins.addr + i * ins.bytes2, per_stripe,
+                    ins.op == Opcode::SSTORE));
+            }
+            break;
+          }
+          case Opcode::QMOVE:
+            ticks.push_back(dram.transfer(now, ins.addr, ins.bytes, false));
+            ticks.push_back(
+                dram.transfer(now + 1, ins.addr2, ins.bytes2, true));
+            break;
+          case Opcode::WGSTORE:
+            ticks.push_back(dram.ndpUpdate(now, ins.addr, ins.elems, 4));
+            break;
+          default:
+            break;
+        }
+    }
+    return ticks;
+}
+
+TEST(DramDifferential, TinyProgramsReplayTickExact)
+{
+    const std::pair<const char *, compiler::WorkloadIR> nets[] = {
+        {"tiny_cnn", compiler::buildTinyCnn()},
+        {"tiny_mlp", compiler::buildTinyMlp()}};
+    const std::pair<const char *, arch::CambriconQConfig> configs[] = {
+        {"edge", arch::CambriconQConfig::edge()},
+        {"edge_no_ndp", arch::CambriconQConfig::edgeNoNdp()}};
+    for (const auto &[net, ir] : nets) {
+        for (const auto &[name, cfg] : configs) {
+            SCOPED_TRACE(std::string(net) + " on " + name);
+            const arch::Program prog = compiler::generateProgram(
+                ir, cfg, compiler::CodegenOptions{});
+            dram::DramController fast(cfg.dram);
+            dram::oracle::PerBurstDram ref(cfg.dram);
+            const std::vector<Tick> got = replayProgram(prog, fast);
+            const std::vector<Tick> want = replayProgram(prog, ref);
+            EXPECT_FALSE(want.empty());
+            EXPECT_EQ(got, want);
+            EXPECT_TRUE(sameState(fast, ref));
+        }
+    }
 }
 
 } // namespace
