@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/ndp_engine.h"
@@ -31,6 +32,7 @@
 #include "obs/cpu_time.h"
 #include "quant/block_quant.h"
 #include "quant/e2bqm.h"
+#include "quant/policy.h"
 #include "quant/statistics.h"
 #include "tensor/tensor_ops.h"
 #include "workloads/all.h"
@@ -106,6 +108,33 @@ runQuant(const WorkloadContext &ctx)
         });
         recordInterval(out, "e2bqm_4way_4k", t);
         out.set("e2bqm_selected_sum", static_cast<double>(sink));
+    }
+
+    // The blocks training runs (Zhang'20+HQT, block 256): one INT8
+    // candidate for weights and activations, INT8/INT16 arbitration
+    // for neuron gradients. Timed on one thread, as ns per element.
+    {
+        const std::size_t n = 1 << 16;
+        const Tensor x = gradientTensor(n);
+        const auto algo = quant::AlgorithmConfig::zhang2020Hqt(256);
+        const std::pair<const char *, quant::TensorRole> rows[] = {
+            {"hqt_plain8_64k_k256", quant::TensorRole::Weight},
+            {"hqt_zhang_grad_64k_k256", quant::TensorRole::NeuronGradient},
+        };
+        ThreadPool::instance().setNumThreads(1);
+        for (const auto &[name, role] : rows) {
+            const auto &cfg = algo.policyFor(role).e2bqm;
+            float sink = 0.0f;
+            const auto t = timeIt(iters, [&] {
+                sink += quant::fakeQuantizeHqt(x, 256, cfg)[0];
+            });
+            recordInterval(out, name, t);
+            out.setTiming(std::string(name) + "_ns_per_elem",
+                          t.wallMs * 1e6 / (iters * static_cast<double>(n)),
+                          "ns");
+            out.set(std::string(name) + "_first_value", sink / iters);
+        }
+        ThreadPool::instance().setNumThreads(0);
     }
 
     // HQT thread-scaling sweep over the shared pool.

@@ -11,6 +11,20 @@
  * configurable distance, and let an arbiter pick the best candidate.
  * The SQU executes the candidates time-multiplexed over the same
  * buffered block, so no extra memory traffic is incurred.
+ *
+ * Both fake-quantize entry points run one block kernel per block
+ * (fakeQuantizeE2bqm treats the tensor as one block). Its contract:
+ * - one max-abs pass, then, per tile of up to 256 elements and per
+ *   candidate, a round trip into a stack buffer: divide by the scale,
+ *   saturate, round half to even (roundToLevel), multiply by the
+ *   scale. Shiftable candidates choose fine or wide per element.
+ *   NaN quantizes to level 0. No heap allocation per block.
+ * - with two or more candidates, each candidate's configured error
+ *   metric is summed in element order in ErrorStat's double
+ *   arithmetic; arbitrate() picks the winner, whose round trip is the
+ *   output. A single candidate computes no error.
+ * The output is bit for bit what e2bqmQuantize's per-candidate levels
+ * dequantize to, whatever the tile or thread count.
  */
 
 #ifndef CQ_QUANT_E2BQM_H
@@ -18,6 +32,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,11 +127,28 @@ struct E2bqmResult
 inline constexpr double kArbitrationRelEps = 1e-9;
 
 /**
- * Pick the winning candidate index from filled-in results: smallest
- * |error| wins; errors within kArbitrationRelEps (relative) of each
- * other are ties broken toward fewer bits, then the earlier
- * candidate. Signed metrics (MeanBias) are compared by magnitude.
+ * Most candidates one E2BQM configuration may hold: the block kernel
+ * keeps each candidate's tile on the stack. Every preset has at most
+ * four, the SQU's multiplexing width.
  */
+inline constexpr std::size_t kMaxE2bqmCandidates = 8;
+
+/** What the arbiter reads of one candidate. */
+struct CandidateScore
+{
+    double error = 0.0; ///< arbiter metric value
+    int bits = 8;       ///< the candidate's bit width
+};
+
+/**
+ * Pick the winning candidate index: smallest |error| wins; errors
+ * within kArbitrationRelEps (relative) of each other are ties broken
+ * toward fewer bits, then the earlier candidate. Signed metrics
+ * (MeanBias) are compared by magnitude.
+ */
+std::size_t arbitrate(std::span<const CandidateScore> scores);
+
+/** arbitrate() over filled-in candidate results. */
 std::size_t arbitrate(const std::vector<CandidateResult> &candidates);
 
 E2bqmResult e2bqmQuantize(const Tensor &x, const E2bqmConfig &config);

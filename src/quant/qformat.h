@@ -51,11 +51,45 @@ struct IntFormat
  */
 IntFormat formatForMaxAbs(double max_abs, int bits);
 
-/** Quantize one value: round(x / scale), saturating to the level range. */
-std::int32_t quantizeValue(double x, const IntFormat &fmt);
+/**
+ * Round @p t, a value already divided by the scale, to the nearest
+ * level (ties to even) and saturate it to [-qmax, qmax]; NaN maps to
+ * level 0. Returns the level as an integer-valued double. This is the
+ * one rounding rule of every INT quantizer (LDQ, E2BQM, QBC, the
+ * quantized GEMM). After the clamp |t| <= 2^15, where adding and
+ * subtracting 1.5 * 2^52 rounds exactly as std::nearbyint does in the
+ * default rounding mode and yields +0 rather than -0, so the helper is
+ * branch-free and vectorizes. Clamping before rounding equals rounding
+ * before clamping because the bounds are integers.
+ */
+inline double
+roundToLevel(double t, double qmax)
+{
+    constexpr double kRoundHalfEven = 6755399441055744.0; // 1.5 * 2^52
+    // NaN fails every comparison and lands on 0. GCC if-converts (and
+    // so vectorizes) this form; a separate `t == t` test it does not.
+    t = t < qmax ? t : (t >= qmax ? qmax : 0.0);
+    t = t > -qmax ? t : -qmax;
+    return (t + kRoundHalfEven) - kRoundHalfEven;
+}
+
+/**
+ * Quantize one value: round(x / scale) half to even, saturating to the
+ * level range; NaN quantizes to level 0.
+ */
+inline std::int32_t
+quantizeValue(double x, const IntFormat &fmt)
+{
+    return static_cast<std::int32_t>(
+        roundToLevel(x / fmt.scale, static_cast<double>(fmt.qmax())));
+}
 
 /** Dequantize one level. */
-double dequantizeValue(std::int32_t q, const IntFormat &fmt);
+inline double
+dequantizeValue(std::int32_t q, const IntFormat &fmt)
+{
+    return static_cast<double>(q) * fmt.scale;
+}
 
 /** Quantize a whole tensor into int32 levels (caller packs). */
 std::vector<std::int32_t> quantizeTensor(const Tensor &x,

@@ -50,6 +50,51 @@ ErrorStat::observe(double x, double xq)
 }
 
 void
+ErrorStat::observeFor(ErrorMetric metric, const float *x, const double *xq,
+                      std::size_t n)
+{
+    // Local accumulators: xq may alias the double members, so summing
+    // into the members would store every partial sum to memory.
+    switch (metric) {
+      case ErrorMetric::Rectilinear: {
+        double sum = sumAbsDiff_;
+        for (std::size_t i = 0; i < n; ++i)
+            sum += std::fabs(static_cast<double>(x[i]) - xq[i]);
+        sumAbsDiff_ = sum;
+        break;
+      }
+      case ErrorMetric::CosineDistance: {
+        double dot = dot_, nx = normX_, nq = normQ_;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double v = x[i];
+            dot += v * xq[i];
+            nx += v * v;
+            nq += xq[i] * xq[i];
+        }
+        dot_ = dot;
+        normX_ = nx;
+        normQ_ = nq;
+        break;
+      }
+      case ErrorMetric::MeanBias: {
+        double sum = sumDiff_;
+        for (std::size_t i = 0; i < n; ++i)
+            sum += static_cast<double>(x[i]) - xq[i];
+        sumDiff_ = sum;
+        break;
+      }
+      case ErrorMetric::MaxError: {
+        double mx = maxDiff_;
+        for (std::size_t i = 0; i < n; ++i)
+            mx = std::max(mx, std::fabs(static_cast<double>(x[i]) - xq[i]));
+        maxDiff_ = mx;
+        break;
+      }
+    }
+    count_ += n;
+}
+
+void
 ErrorStat::reset()
 {
     *this = ErrorStat();

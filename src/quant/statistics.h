@@ -60,6 +60,16 @@ class ErrorStat
   public:
     /** Observe one (original, dequantized) pair. */
     void observe(double x, double xq);
+
+    /**
+     * Observe the pairs (x[i], xq[i]) for i < n in order, updating only
+     * the accumulators @p metric reads. value(metric) is then bitwise
+     * what n observe() calls give (same double arithmetic, same order);
+     * the other metrics are left stale. This is the E2BQM kernel's
+     * per-tile error pass.
+     */
+    void observeFor(ErrorMetric metric, const float *x, const double *xq,
+                    std::size_t n);
     void reset();
 
     /** Value of the requested metric over everything observed. */

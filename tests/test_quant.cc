@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "quant/block_quant.h"
@@ -16,6 +21,8 @@
 #include "quant/qformat.h"
 #include "quant/statistics.h"
 #include "tensor/tensor_ops.h"
+
+#include "e2bqm_reference_oracle.h"
 
 namespace cq::quant {
 namespace {
@@ -62,6 +69,38 @@ TEST(QFormat, ZeroMaxAbsSafe)
 {
     const IntFormat f = formatForMaxAbs(0.0, 8);
     EXPECT_EQ(quantizeValue(0.0, f), 0);
+}
+
+TEST(QFormat, NanQuantizesToLevelZero)
+{
+    // Defined rule (a NaN cast to int is undefined behaviour): NaN of
+    // either sign quantizes to level 0 in every format.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (int bits : {4, 8, 12, 16}) {
+        const IntFormat f{bits, 0.25};
+        EXPECT_EQ(quantizeValue(nan, f), 0) << bits;
+        EXPECT_EQ(quantizeValue(-nan, f), 0) << bits;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(roundToLevel(nan, 127.0)),
+              std::bit_cast<std::uint64_t>(0.0));
+}
+
+TEST(QFormat, RoundsHalfToEvenAndNeverToNegativeZero)
+{
+    const IntFormat f{8, 1.0};
+    EXPECT_EQ(quantizeValue(2.5, f), 2);
+    EXPECT_EQ(quantizeValue(3.5, f), 4);
+    EXPECT_EQ(quantizeValue(-2.5, f), -2);
+    EXPECT_EQ(quantizeValue(-126.5, f), -126);
+    EXPECT_EQ(quantizeValue(126.5, f), 126);
+    EXPECT_EQ(quantizeValue(127.5, f), 127); // saturates, no wrap
+    EXPECT_EQ(quantizeValue(std::numeric_limits<double>::infinity(), f),
+              127);
+    // The level of a small negative value is +0, as an int level is.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(roundToLevel(-0.4, 127.0)),
+              std::bit_cast<std::uint64_t>(0.0));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(roundToLevel(-0.0, 127.0)),
+              std::bit_cast<std::uint64_t>(0.0));
 }
 
 TEST(QFormat, FakeQuantizeTensorShapePreserved)
@@ -132,6 +171,34 @@ TEST(Statistics, ErrorStatMatchesTensorOps)
                 meanBias(a, b), 1e-6);
     EXPECT_NEAR(stat.value(ErrorMetric::MaxError), maxAbsDiff(a, b),
                 1e-6);
+}
+
+TEST(Statistics, ObserveForMatchesObserveBitwise)
+{
+    // The block kernel's per-metric, per-tile accumulation must give
+    // the value per-element observe() gives, bit for bit.
+    Rng rng(5);
+    const std::size_t n = 700;
+    std::vector<float> x(n);
+    std::vector<double> xq(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = static_cast<float>(rng.gaussian(0.0, 1.0));
+        xq[i] = std::nearbyint(x[i] * 20.0) / 20.0;
+    }
+    for (ErrorMetric m :
+         {ErrorMetric::Rectilinear, ErrorMetric::CosineDistance,
+          ErrorMetric::MeanBias, ErrorMetric::MaxError}) {
+        ErrorStat each, tiled;
+        for (std::size_t i = 0; i < n; ++i)
+            each.observe(x[i], xq[i]);
+        for (std::size_t lo = 0; lo < n; lo += 256)
+            tiled.observeFor(m, x.data() + lo, xq.data() + lo,
+                             std::min<std::size_t>(256, n - lo));
+        EXPECT_EQ(tiled.count(), n);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(tiled.value(m)),
+                  std::bit_cast<std::uint64_t>(each.value(m)))
+            << errorMetricName(m);
+    }
 }
 
 TEST(Statistics, MeanBiasIsSigned)
@@ -422,6 +489,219 @@ TEST(E2bqm, CandidateDequantizeConsistent)
         const Tensor deq = cand.dequantize(x.shape());
         EXPECT_NEAR(cand.error, rectilinearDistance(x, deq), 1e-6);
     }
+}
+
+TEST(E2bqm, NanElementQuantizesToZero)
+{
+    Rng rng(18);
+    Tensor x({1000});
+    x.fillGaussian(rng, 0.0f, 1.0f);
+    x[300] = std::numeric_limits<float>::quiet_NaN();
+    const auto cfg = E2bqmConfig::adaptivePrecision(ErrorMetric::Rectilinear);
+    const Tensor got = fakeQuantizeHqt(x, 256, cfg);
+    const Tensor want = oracle::fakeQuantizeHqt(x, 256, cfg);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[300]), 0u);
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+        if (i != 300) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                      std::bit_cast<std::uint32_t>(want[i]))
+                << "element " << i;
+        }
+    }
+}
+
+// ------------------------------------------ E2BQM kernel vs oracle
+
+/** Index of the first element whose bit pattern differs, or -1. */
+long
+firstBitDifference(const Tensor &a, const Tensor &b)
+{
+    if (a.numel() != b.numel())
+        return 0;
+    for (std::size_t i = 0; i < a.numel(); ++i) {
+        if (std::bit_cast<std::uint32_t>(a[i]) !=
+            std::bit_cast<std::uint32_t>(b[i]))
+            return static_cast<long>(i);
+    }
+    return -1;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+/** Every E2BQM configuration the kernel must reproduce. */
+std::vector<std::pair<std::string, E2bqmConfig>>
+differentialConfigs()
+{
+    std::vector<std::pair<std::string, E2bqmConfig>> cfgs;
+    for (const AlgorithmConfig &algo :
+         {AlgorithmConfig::zhu2019(), AlgorithmConfig::zhang2020(),
+          AlgorithmConfig::yang2020()}) {
+        for (TensorRole role :
+             {TensorRole::Weight, TensorRole::Activation,
+              TensorRole::NeuronGradient, TensorRole::WeightGradient}) {
+            const RolePolicy &p = algo.policyFor(role);
+            if (p.quantize && !p.useFloat)
+                cfgs.push_back({algo.name + "/" + tensorRoleName(role),
+                                p.e2bqm});
+        }
+    }
+    for (ErrorMetric m :
+         {ErrorMetric::Rectilinear, ErrorMetric::CosineDistance,
+          ErrorMetric::MeanBias, ErrorMetric::MaxError}) {
+        const std::string metric = errorMetricName(m);
+        for (int bits : {4, 8, 16}) {
+            const std::string b = std::to_string(bits);
+            cfgs.push_back({"clip" + b + "/" + metric,
+                            E2bqmConfig::clippingLadder(bits, m)});
+            cfgs.push_back({"shift" + b + "/" + metric,
+                            E2bqmConfig::shiftableLadder(bits, m)});
+        }
+        cfgs.push_back({"adaptive/" + metric,
+                        E2bqmConfig::adaptivePrecision(m)});
+    }
+    return cfgs;
+}
+
+/**
+ * Inputs where rounding and the statistics have edge cases: long
+ * tails, exact .5 ties (power-of-two scales for INT4/8/16), signed
+ * zeros and denormals, all-zero stretches, NaN and +-inf, and
+ * outliers up to FLT_MAX.
+ */
+std::vector<std::pair<std::string, Tensor>>
+differentialInputs(std::size_t n, Rng &rng)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    std::vector<std::pair<std::string, Tensor>> inputs;
+    auto add = [&](const std::string &name, auto &&gen) {
+        Tensor x({n});
+        for (std::size_t i = 0; i < n; ++i)
+            x[i] = gen(i);
+        inputs.push_back({name + "/n" + std::to_string(n), x});
+    };
+    add("gaussian", [&](std::size_t) {
+        return static_cast<float>(rng.gaussian(0.0, 0.05));
+    });
+    add("outliers", [&](std::size_t) {
+        const double v = rng.gaussian(0.0, 0.05);
+        return static_cast<float>(rng.below(50) == 0 ? v * 100.0 : v);
+    });
+    for (int qmax : {7, 127, 32767}) {
+        // Scale exactly 2^-4 (and 2^-5.. under clipping): every other
+        // element sits exactly halfway between two levels.
+        add("ties" + std::to_string(qmax), [&](std::size_t i) {
+            if (i % 97 == 0)
+                return static_cast<float>(qmax) / 16.0f;
+            const double k = static_cast<double>(rng.below(2 * qmax)) -
+                             static_cast<double>(qmax);
+            return static_cast<float>((k + 0.5 * (i % 2)) / 16.0);
+        });
+    }
+    add("zeros-denormals", [&](std::size_t i) {
+        switch (rng.below(5)) {
+          case 0: return 0.0f;
+          case 1: return -0.0f;
+          case 2: return denorm * static_cast<float>(rng.below(1000));
+          case 3: return -denorm * static_cast<float>(rng.below(1000));
+          default:
+            return i % 3 == 0
+                ? static_cast<float>(rng.gaussian(0.0, 1e-3))
+                : 0.0f;
+        }
+    });
+    add("all-zero", [&](std::size_t) { return 0.0f; });
+    add("zero-stretches", [&](std::size_t i) {
+        return (i / 300) % 2 == 0
+            ? 0.0f
+            : static_cast<float>(rng.gaussian(0.0, 1.0));
+    });
+    add("nan-inf", [&](std::size_t i) {
+        switch (i % 331) {
+          case 5: return nan;
+          case 17: return -nan;
+          case 100: return inf;
+          case 200: return -inf;
+          default: return static_cast<float>(rng.gaussian(0.0, 1.0));
+        }
+    });
+    add("nan-only-block", [&](std::size_t i) {
+        return i < 300 ? nan : static_cast<float>(rng.gaussian(0.0, 1.0));
+    });
+    add("huge", [&](std::size_t i) {
+        if (i % 211 == 3)
+            return i % 2 ? std::numeric_limits<float>::max()
+                         : -std::numeric_limits<float>::max();
+        if (i % 53 == 1)
+            return static_cast<float>(rng.gaussian(0.0, 1e30));
+        return static_cast<float>(rng.gaussian(0.0, 1.0));
+    });
+    return inputs;
+}
+
+void
+expectSameResult(const E2bqmResult &got, const E2bqmResult &want,
+                 const std::string &what)
+{
+    ASSERT_EQ(got.candidates.size(), want.candidates.size()) << what;
+    EXPECT_EQ(got.selected, want.selected) << what;
+    for (std::size_t c = 0; c < got.candidates.size(); ++c) {
+        const CandidateResult &g = got.candidates[c];
+        const CandidateResult &w = want.candidates[c];
+        EXPECT_EQ(g.format, w.format) << what << " cand " << c;
+        EXPECT_EQ(g.levels, w.levels) << what << " cand " << c;
+        EXPECT_EQ(g.wideBits, w.wideBits) << what << " cand " << c;
+        EXPECT_TRUE(sameBits(g.error, w.error))
+            << what << " cand " << c << ": " << g.error << " vs "
+            << w.error;
+    }
+}
+
+TEST(E2bqmDifferential, KernelMatchesReferenceOracleBitwise)
+{
+    Rng rng(19);
+    const auto configs = differentialConfigs();
+    std::size_t compared = 0;
+    for (std::size_t n : {std::size_t(1), std::size_t(7),
+                          std::size_t(700), std::size_t(2100)}) {
+        for (const auto &[xname, x] : differentialInputs(n, rng)) {
+            for (const auto &[cname, cfg] : configs) {
+                const std::string what = cname + " on " + xname;
+                // Whole tensor as one block: layer-wise entry point
+                // and the per-candidate API.
+                E2bqmSelectionInfo gi, wi;
+                const Tensor g = fakeQuantizeE2bqm(x, cfg, &gi);
+                const Tensor w = oracle::fakeQuantizeE2bqm(x, cfg, &wi);
+                EXPECT_EQ(firstBitDifference(g, w), -1) << what;
+                EXPECT_EQ(gi.bitsTally, wi.bitsTally) << what;
+                expectSameResult(e2bqmQuantize(x, cfg),
+                                 oracle::e2bqmQuantize(x, cfg), what);
+                // Blocked (HQT) entry point, ragged last blocks.
+                for (std::size_t k : {std::size_t(1), std::size_t(7),
+                                      std::size_t(256),
+                                      std::size_t(1024)}) {
+                    E2bqmSelectionInfo hg, hw;
+                    const Tensor bg = fakeQuantizeHqt(x, k, cfg, &hg);
+                    const Tensor bw =
+                        oracle::fakeQuantizeHqt(x, k, cfg, &hw);
+                    EXPECT_EQ(firstBitDifference(bg, bw), -1)
+                        << what << " block " << k;
+                    EXPECT_EQ(hg.bitsTally, hw.bitsTally)
+                        << what << " block " << k;
+                }
+                ++compared;
+                if (HasFailure())
+                    return; // one diagnosis is enough
+            }
+        }
+    }
+    EXPECT_GT(compared, 1000u);
 }
 
 // ---------------------------------------------------------------- policies

@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "quant/e2bqm.h"
+#include "quant/policy.h"
 #include "tensor/tensor_ops.h"
 
 namespace cq {
@@ -336,15 +337,37 @@ TEST(Determinism, Im2colCol2imBitwiseIdentical)
 TEST(Determinism, HqtBitwiseIdentical)
 {
     Rng rng(26);
+    // 6000 elements: the last block is ragged at every block size.
     Tensor x({6000});
     x.fillGaussian(rng, 0.0f, 0.05f);
     for (int i = 0; i < 24; ++i)
         x[i * 250] = static_cast<float>(rng.gaussian(0.0, 1.5));
-    const auto cfg = quant::E2bqmConfig::clippingLadder(8);
-    expectBitwiseEqualAcrossThreads(
-        [&] { return quant::fakeQuantizeHqt(x, 512, cfg); });
-    expectBitwiseEqualAcrossThreads(
-        [&] { return quant::fakeQuantizeE2bqm(x, cfg); });
+    // The configs training runs (Zhang'20+HQT: adaptive INT8/16 for
+    // gradients, one INT8 candidate for weights and activations, at
+    // block 256) plus the clipping and shiftable ladders.
+    const auto zhang = quant::AlgorithmConfig::zhang2020Hqt(256);
+    const std::pair<quant::E2bqmConfig, std::size_t> cases[] = {
+        {quant::E2bqmConfig::clippingLadder(8), 512},
+        {zhang.policyFor(quant::TensorRole::NeuronGradient).e2bqm, 256},
+        {zhang.policyFor(quant::TensorRole::Weight).e2bqm, 256},
+        {quant::E2bqmConfig::shiftableLadder(8), 256},
+        {quant::E2bqmConfig::shiftableLadder(8), 1024},
+    };
+    for (const auto &[cfg, block] : cases) {
+        expectBitwiseEqualAcrossThreads(
+            [&] { return quant::fakeQuantizeHqt(x, block, cfg); });
+        expectBitwiseEqualAcrossThreads(
+            [&] { return quant::fakeQuantizeE2bqm(x, cfg); });
+        // The per-block selections tally the same at any width.
+        quant::E2bqmSelectionInfo serial, parallel;
+        auto &pool = ThreadPool::instance();
+        pool.setNumThreads(1);
+        quant::fakeQuantizeHqt(x, block, cfg, &serial);
+        pool.setNumThreads(8);
+        quant::fakeQuantizeHqt(x, block, cfg, &parallel);
+        pool.setNumThreads(0);
+        EXPECT_EQ(serial.bitsTally, parallel.bitsTally);
+    }
 }
 
 TEST(Determinism, QuantizedMatmulBitwiseIdentical)
