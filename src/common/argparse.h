@@ -1,7 +1,7 @@
 /**
  * @file
  * Strict CLI value parsers shared by the command-line tools (cqsim,
- * cq_crashtest, cq_bench). Every parser either returns a fully
+ * cq_faultsweep, cq_bench). Every parser either returns a fully
  * validated value or prints a one-line `<prog>: <flag> ...`
  * diagnostic to stderr and exits 2 — a bad flag must never start a
  * run. The error paths are death-tested centrally in

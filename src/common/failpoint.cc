@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -67,6 +68,7 @@ actionKindName(ActionKind kind)
       case ActionKind::ShortWrite: return "short";
       case ActionKind::Delay:      return "delay";
       case ActionKind::AllocFail:  return "alloc";
+      case ActionKind::Kill:       return "kill";
     }
     return "?";
 }
@@ -239,6 +241,9 @@ Registry::declaredSites()
     // seam site means adding its name here; tools/cq_faultsweep
     // audits hit-but-undeclared sites and CI fails on them.
     static const std::vector<std::string> kDeclared = {
+        // Training step boundary (runCrashHarness, after each step's
+        // update and checkpoint submit): planned kills.
+        "train.step",
         // Checkpoint generation bodies (writeCheckpointEx).
         "ckpt.body.open",
         "ckpt.body.write",
@@ -364,6 +369,8 @@ Registry::evaluate(const std::string &name, std::uint64_t bytes)
             std::this_thread::sleep_for(
                 std::chrono::microseconds(out.delayMicros));
         }
+        if (out.kind == ActionKind::Kill)
+            ::raise(SIGKILL);
     }
     return out;
 }
@@ -603,6 +610,8 @@ parseAction(const std::string &action, SiteConfig &out,
                 config.kind = ActionKind::Delay;
             else if (tok == "alloc")
                 config.kind = ActionKind::AllocFail;
+            else if (tok == "kill")
+                config.kind = ActionKind::Kill;
             else
                 return fail("unknown action kind '" + tok + "'");
             continue;

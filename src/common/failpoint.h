@@ -5,11 +5,12 @@
  *
  * Every environment failure mode the persistence and sink layers must
  * survive — disk full, I/O error, short write, allocation failure,
- * slow disk — is declared as a *failpoint*: a named site evaluated
- * where the real operation would fail. In production nothing is
- * configured and a site costs one relaxed atomic load; under test a
- * site is armed with an action ("fail with ENOSPC", "accept 100 bytes
- * then fail", "delay 2 ms") and a trigger window (one-shot, every
+ * slow disk, a hard kill of the process — is declared as a
+ * *failpoint*: a named site evaluated where the real operation would
+ * fail. In production nothing is configured and a site costs one
+ * relaxed atomic load; under test a site is armed with an action
+ * ("fail with ENOSPC", "accept 100 bytes then fail", "delay 2 ms",
+ * "SIGKILL the process") and a trigger window (one-shot, every
  * Nth, after the Kth evaluation, at a byte offset, or with a seeded
  * probability), making each declared failure path individually and
  * exhaustively fireable — exact enumeration, not statistical hoping,
@@ -31,18 +32,29 @@
  *
  * Spec grammar (';'-separated items):
  *   site '=' kind (',' key '=' value)*
- *   kind := off | fail | enospc | eio | short | delay | alloc
+ *   kind := off | fail | enospc | eio | short | delay | alloc | kill
  *   keys := errno=<int> | us=<micros> | once=1 | every=<n> |
  *           after=<n> | limit=<n> | after_bytes=<n> | prob=<p> |
  *           seed=<s>
  * e.g. CQ_FAILPOINTS="ckpt.body.write=enospc,after_bytes=512;
  *                     obs.telemetry.write=fail,once=1"
  *
- * The canonical site list lives in declaredSites(); the fault-sweep
- * tool (tools/cq_faultsweep) enumerates it, fires every entry inside
- * short train/serve/dist runs, and treats a site that is hit or
- * configured but not declared as a build failure — so an undeclared
- * failure path cannot silently join the codebase.
+ * `kill` raises SIGKILL inside evaluate(), so the process dies at the
+ * site exactly as under a hard kill and no seam needs to handle it:
+ * `train.step=kill,after=K-1` dies once step K has committed,
+ * `ckpt.body.write=kill,after_bytes=N` dies inside the checkpoint
+ * write that crosses byte N. A slow disk is
+ * `ckpt.body.write=delay,us=U` (every write call sleeps U µs).
+ *
+ * The canonical site list lives in declaredSites(): the I/O seams
+ * plus one step-boundary site, `train.step`, evaluated by the
+ * kill–restart harness after every training step (only `delay` and
+ * `kill` act there). The fault-sweep tool (tools/cq_faultsweep)
+ * enumerates the list, fires every entry inside short
+ * train/serve/dist runs (train.step only through its kill-resume
+ * legs), and treats a site that is hit or configured
+ * but not declared as a build failure — so an undeclared failure path
+ * cannot silently join the codebase.
  */
 
 #ifndef CQ_COMMON_FAILPOINT_H
@@ -69,6 +81,9 @@ enum class ActionKind : int
     /** Report an allocation failure; callers surface a typed error
      *  instead of letting std::bad_alloc unwind arbitrary code. */
     AllocFail,
+    /** SIGKILL the process from inside evaluate() — a hard kill that
+     *  no handler can intercept; evaluate() never returns. */
+    Kill,
 };
 
 const char *actionKindName(ActionKind kind);

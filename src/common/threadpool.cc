@@ -55,6 +55,9 @@ struct ThreadPool::State
     std::condition_variable done;
     std::vector<std::thread> workers;
     bool stop = false;
+    /** The State this one replaced in a forked child (never freed;
+     *  see reinitAfterFork). */
+    State *abandoned = nullptr;
 
     /** Bumped once per job; workers run the job whose id they see. */
     std::uint64_t generation = 0;
@@ -200,8 +203,12 @@ ThreadPool::reinitAfterFork()
 {
     // The old State's mutexes may have been cloned mid-lock and its
     // workers vector holds joinable std::threads whose OS threads no
-    // longer exist; both make destruction UB/terminate. Leak it.
-    state_ = new State;
+    // longer exist; both make destruction UB/terminate. Leak it, but
+    // keep it reachable so a leak check in the child does not report
+    // it.
+    State *fresh = new State;
+    fresh->abandoned = state_;
+    state_ = fresh;
     tlsInParallelRegion = false;
     spawnWorkers(numThreads_);
 }

@@ -52,15 +52,18 @@ class ThreadPool
     void setNumThreads(unsigned n);
 
     /**
-     * Make the pool usable in a child process after fork(). Worker
+     * Make the pool usable in a forked child process. Worker
      * threads do not survive fork — the child inherits only the
      * forking thread, plus mutexes/condvars cloned in whatever state
      * they were in — so the inherited State is unusable and is
      * deliberately leaked (joining dead std::threads would terminate,
-     * destroying a possibly-locked mutex is UB). A fresh State is
-     * allocated and workers respawned at the previous thread count.
-     * Call immediately after fork() in the child, before any kernel
-     * runs; the fork itself must happen outside a parallel region.
+     * destroying a possibly-locked mutex is UB), though kept
+     * reachable from its replacement so leak checkers do not flag
+     * it. A fresh State is allocated and workers respawned at the
+     * previous thread count.
+     * Call first thing in the child, before any kernel runs; the
+     * fork itself must happen outside a parallel region.
+     * runInChild() (common/child_process.h) does both.
      */
     void reinitAfterFork();
 

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include <unistd.h>
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
@@ -72,8 +71,6 @@ class CrcWriter
         if (io::fwriteFp(writeSite_, data, len, f_) != len)
             return false;
         fileCrc_ = crc32(data, len, fileCrc_);
-        if (options_.slowWriteMicros > 0)
-            ::usleep(options_.slowWriteMicros);
         if (options_.onWrite)
             options_.onWrite(len);
         return true;

@@ -109,14 +109,12 @@ struct CheckpointWriteOptions
     bool durable = true;
     /**
      * Test hook invoked after every write call with that call's byte
-     * count. The kill–restart harness raises SIGKILL from here to
-     * land a crash mid-write; a throwing hook is propagated after the
-     * temp file is cleaned up.
+     * count: tests use it to gate or stall a write, or throw from it
+     * (a throwing hook is propagated after the temp file is cleaned
+     * up). Planned kills and slow disks are failpoints instead
+     * (`ckpt.body.write=kill,after_bytes=N`, `=delay,us=U`).
      */
     std::function<void(std::size_t chunkBytes)> onWrite;
-    /** Sleep this long after each write call — widens the mid-write
-     *  window so an external killer can hit it. 0 = no slow-down. */
-    unsigned slowWriteMicros = 0;
     /**
      * Failpoint site prefix for the durable-write ladder: the open /
      * write / fsync / close / rename / dirfsync stages evaluate

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include <unistd.h>
 
 #include "common/fileutil.h"
 #include "common/logging.h"
@@ -56,8 +55,6 @@ writeTextFileDurable(const std::string &path,
             return full ? CheckpointWriteResult::NoSpace
                         : CheckpointWriteResult::WriteFailed;
         }
-        if (options.slowWriteMicros > 0)
-            ::usleep(options.slowWriteMicros);
         if (options.onWrite) {
             try {
                 options.onWrite(len);
@@ -251,8 +248,8 @@ CheckpointStore::currentEntries(bool *used_manifest) const
     return entries;
 }
 
-CheckpointWriteResult
-CheckpointStore::writeManifest(const std::vector<ManifestEntry> &entries)
+std::string
+CheckpointStore::manifestText(const std::vector<ManifestEntry> &entries)
 {
     std::string text = kManifestMagic;
     text += '\n';
@@ -263,10 +260,16 @@ CheckpointStore::writeManifest(const std::vector<ManifestEntry> &entries)
                       e.file.c_str(), e.crc, e.step);
         text += line;
     }
+    return text;
+}
+
+CheckpointWriteResult
+CheckpointStore::writeManifest(const std::vector<ManifestEntry> &entries)
+{
     CheckpointWriteOptions manifestOpts = config_.write;
     manifestOpts.failpointPrefix = "ckpt.manifest";
-    const auto res = writeTextFileDurable(pathOf(kManifestName), text,
-                                          manifestOpts);
+    const auto res = writeTextFileDurable(
+        pathOf(kManifestName), manifestText(entries), manifestOpts);
     if (res != CheckpointWriteResult::Ok) {
         warn("ckpt-store: manifest rewrite in %s failed (%s)",
              config_.dir.c_str(), checkpointWriteResultName(res));

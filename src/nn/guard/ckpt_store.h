@@ -143,6 +143,10 @@ class CheckpointStore
 
     static constexpr const char kManifestName[] = "ckpt.manifest";
 
+    /** The manifest file's text listing @p entries. */
+    static std::string
+    manifestText(const std::vector<ManifestEntry> &entries);
+
   private:
     std::string pathOf(const std::string &file) const;
     /** Manifest entries, or a recovery scan of the directory when the

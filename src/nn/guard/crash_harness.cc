@@ -5,15 +5,18 @@
 
 #include "nn/guard/crash_harness.h"
 
-#include <csignal>
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
 #include "common/crc32.h"
+#include "common/failpoint.h"
+#include "common/fileutil.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "nn/activation.h"
 #include "nn/datasets.h"
+#include "nn/guard/ckpt_store.h"
 #include "nn/linear.h"
 #include "nn/network.h"
 #include "nn/quant_trainer.h"
@@ -63,23 +66,6 @@ runCrashHarness(const CrashHarnessConfig &config)
     cfg.resilience.handleSignals = config.handleSignals;
     cfg.resilience.cancel = config.cancel;
     cfg.resilience.dataRng = &data.rng();
-    cfg.resilience.writeOptions.slowWriteMicros =
-        config.slowWriteMicros;
-    if (config.killAtWriteBytes > 0) {
-        // Cumulative across commits (snapshot bodies and manifest
-        // rewrites alike): the process dies mid-write once the
-        // checkpoint stream crosses the planned offset. SIGKILL is
-        // uncatchable, so this models a genuine hard kill, not a
-        // cooperative shutdown.
-        auto written = std::make_shared<std::uint64_t>(0);
-        const std::uint64_t killAt = config.killAtWriteBytes;
-        cfg.resilience.writeOptions.onWrite =
-            [written, killAt](std::size_t chunk) {
-                *written += chunk;
-                if (*written >= killAt)
-                    ::raise(SIGKILL);
-            };
-    }
 
     QuantTrainer trainer(net, cfg);
 
@@ -129,12 +115,10 @@ runCrashHarness(const CrashHarnessConfig &config)
             trainer.stepCount() % config.metricsEvery == 0) {
             writeMetrics();
         }
-        if (config.killAtStep != 0 &&
-            trainer.stepCount() >= config.killAtStep) {
-            // The step's update (and its checkpoint submit) is done;
-            // die before any later step runs.
-            ::raise(SIGKILL);
-        }
+        // Step boundary: the step's update and its checkpoint submit
+        // are done. A planned kill (train.step=kill,after=K-1) dies
+        // here, before step K+1 runs.
+        CQ_FAILPOINT("train.step");
         if (trainer.stopRequested()) {
             result.stopRequested = true;
             result.cancelled = trainer.cancelObserved();
@@ -174,6 +158,50 @@ runCrashHarness(const CrashHarnessConfig &config)
         std::fclose(out);
     result.mastersCrc = crc;
     return result;
+}
+
+sim::KillScheduleConfig
+killScheduleFor(const CrashHarnessConfig &reference)
+{
+    CQ_ASSERT_MSG(reference.ckptEvery > 0 && !reference.dir.empty(),
+                  "kill legs need a checkpointing reference leg");
+    // A synchronous-commit leg commits at least steps/ckptEvery
+    // snapshots of one body size, each followed by a manifest rewrite
+    // no shorter than a single step-1 entry's listing.
+    const std::uint64_t commits = reference.steps / reference.ckptEvery;
+    CQ_ASSERT_MSG(commits > 0, "the reference leg never checkpointed");
+    sim::KillScheduleConfig schedule;
+    schedule.maxStep = reference.steps;
+    ManifestEntry single;
+    single.gen = 1;
+    single.file = CheckpointStore::generationFileName(1);
+    single.step = 1;
+    schedule.manifestBytes =
+        commits * CheckpointStore::manifestText({single}).size();
+    for (const std::string &name : listDir(reference.dir)) {
+        if (CheckpointStore::parseGenerationFileName(name) != 0) {
+            schedule.bodyBytes =
+                commits * static_cast<std::uint64_t>(std::max(
+                              fileSize(reference.dir + "/" + name), 0LL));
+            break;
+        }
+    }
+    CQ_ASSERT_MSG(schedule.bodyBytes > 0,
+                  "reference leg left no checkpoint in %s",
+                  reference.dir.c_str());
+    return schedule;
+}
+
+CrashHarnessConfig
+killLegFor(const CrashHarnessConfig &reference, const std::string &spec,
+           const std::string &dir)
+{
+    CrashHarnessConfig leg = reference;
+    leg.dir = dir;
+    leg.mastersOut.clear();
+    if (spec.rfind("train.step=", 0) != 0)
+        leg.asyncCheckpoint = false;
+    return leg;
 }
 
 } // namespace cq::nn::guard

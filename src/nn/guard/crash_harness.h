@@ -10,15 +10,19 @@
  * the proof that the store is crash-consistent:
  *
  *   reference leg:  train 0..N, dump masters
- *   kill leg:       train with a self-SIGKILL planned at a step
- *                   boundary or inside a checkpoint write (the
- *                   process genuinely dies — SIGKILL cannot be caught)
+ *   kill leg:       train with a failpoint `kill` armed at the
+ *                   `train.step` boundary or inside a checkpoint write
+ *                   (the process genuinely dies — SIGKILL cannot be
+ *                   caught)
  *   resume leg:     restart with resume=true, train to N, dump
  *
  * Crash consistency holds iff the resume leg's masters are bitwise
- * identical to the reference leg's, for every planned kill point.
- * The legs run in forked children (tools/cq_crashtest.cc and
- * tests/test_crash_resume.cc) so a kill never takes the driver down.
+ * identical to the reference leg's, for every planned kill point
+ * (killScheduleFor() + sim::planKillPoints() + killLegFor()). The
+ * legs run through
+ * runInChild() (common/child_process.h) — in
+ * `cq_faultsweep --mode kill-resume` and tests/test_crash_resume.cc —
+ * so a kill never takes the driver down.
  */
 
 #ifndef CQ_NN_GUARD_CRASH_HARNESS_H
@@ -28,6 +32,7 @@
 #include <string>
 
 #include "common/cancel.h"
+#include "sim/faults/kill_schedule.h"
 
 namespace cq::nn::guard {
 
@@ -66,20 +71,6 @@ struct CrashHarnessConfig
      * a final checkpoint (result.stopRequested + result.cancelled).
      */
     cq::CancelToken *cancel = nullptr;
-
-    /** @name Self-kill plan (0 = disabled) */
-    /** @{ */
-    /** raise(SIGKILL) once this step's update has committed — after
-     *  its checkpoint submit, before any later step runs. */
-    std::uint64_t killAtStep = 0;
-    /** raise(SIGKILL) from inside the checkpoint write path once this
-     *  many cumulative bytes crossed the store's write hook. Counted
-     *  across commits, so offsets larger than one snapshot still fire
-     *  on a later generation. */
-    std::uint64_t killAtWriteBytes = 0;
-    /** @} */
-    /** Per-chunk write delay widening the mid-write kill window. */
-    unsigned slowWriteMicros = 0;
 
     /** Dump the final master weights' raw bytes here (empty = skip). */
     std::string mastersOut;
@@ -132,10 +123,29 @@ struct CrashHarnessResult
 };
 
 /**
- * Run one leg. Never returns when a planned kill fires. Asserts via
+ * Run one leg. Never returns when an armed `kill` failpoint fires.
+ * Evaluates the `train.step` failpoint after every step. Asserts via
  * CQ_ASSERT on setup errors (unwritable mastersOut etc.).
  */
 CrashHarnessResult runCrashHarness(const CrashHarnessConfig &config);
+
+/**
+ * Kill-schedule shape for legs configured like @p reference, which
+ * must have run to its end in reference.dir: maxStep is its step
+ * count, and the byte bounds are what a synchronous-commit leg writes
+ * to the body and manifest streams. The caller sets seed and kills.
+ */
+sim::KillScheduleConfig killScheduleFor(const CrashHarnessConfig &reference);
+
+/**
+ * The leg that arms planned kill @p spec: @p reference's run into the
+ * fresh store @p dir, no masters dump. Mid-write kill legs commit
+ * synchronously (the async writer's latest-wins slot may skip
+ * snapshots), so every offset below killScheduleFor()'s bounds fires.
+ */
+CrashHarnessConfig killLegFor(const CrashHarnessConfig &reference,
+                              const std::string &spec,
+                              const std::string &dir);
 
 } // namespace cq::nn::guard
 

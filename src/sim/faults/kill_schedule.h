@@ -1,16 +1,17 @@
 /**
  * @file
- * Seeded kill-point planner for the crash–restart harness.
+ * Seeded kill-point planner for the kill–restart check.
  *
- * The harness (nn/guard/crash_harness.h, tools/cq_crashtest.cc) proves
- * crash consistency by SIGKILLing a training child at chosen points
- * and asserting the resumed run is bitwise identical to an
- * uninterrupted one. For the proof to cover the interesting failure
- * windows the kill points must (a) be deterministic for a seed, so a
- * failure reproduces, and (b) include kills *inside* a checkpoint
- * write, not just between steps. planKillPoints() draws both kinds
- * from one Rng stream and guarantees at least one mid-write kill in
- * every schedule.
+ * The check (`cq_faultsweep --mode kill-resume`,
+ * tests/test_crash_resume.cc) proves crash consistency by SIGKILLing
+ * a training child at chosen points and asserting the resumed run is
+ * bitwise identical to an uninterrupted one. For the proof to cover
+ * the interesting failure windows the kill points must (a) be
+ * deterministic for a seed, so a failure reproduces, and (b) include
+ * kills *inside* a checkpoint write — of the snapshot body and of the
+ * generation manifest — not just between steps. planKillPoints()
+ * draws all three kinds from one Rng stream and returns each as a
+ * failpoint spec (common/failpoint.h) that the kill leg arms.
  */
 
 #ifndef CQ_SIM_FAULTS_KILL_SCHEDULE_H
@@ -18,24 +19,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace cq::sim {
-
-/** One planned SIGKILL. */
-struct KillPoint
-{
-    /** Step boundary the kill fires at (1-based, after the step's
-     *  update commits but before any later step runs). For mid-write
-     *  kills this is instead the step from which checkpoint traffic
-     *  starts counting toward writeBytes. */
-    std::uint64_t step = 0;
-    /** True: the kill fires from inside a checkpoint write, after
-     *  writeBytes bytes of cumulative checkpoint I/O. */
-    bool midWrite = false;
-    /** Cumulative checkpoint-stream byte offset for mid-write kills. */
-    std::uint64_t writeBytes = 0;
-};
 
 /** Schedule shape. */
 struct KillScheduleConfig
@@ -46,21 +33,30 @@ struct KillScheduleConfig
     /** Steps in the full run; kill steps land in [1, maxStep - 1] so
      *  a resumed child always has work left to do. */
     std::uint64_t maxStep = 60;
-    /** Fraction of the schedule turned into mid-write kills (at least
-     *  one regardless, per the acceptance bar). */
-    double midWriteFraction = 0.25;
-    /** Upper bound for writeBytes draws. Keep it below one snapshot's
-     *  serialized size so every mid-write kill lands inside a write;
-     *  cumulative counting means later offsets still fire eventually. */
-    std::uint64_t maxWriteBytes = 4096;
+    /** @name Byte-offset bounds, one per checkpoint write stream
+     *  Offsets are drawn below these (both > 0). Set them to bytes
+     *  every kill leg is sure to write to the stream, so each
+     *  mid-write kill fires (nn::guard::killScheduleFor()). */
+    /** @{ */
+    std::uint64_t bodyBytes = 0;
+    std::uint64_t manifestBytes = 0;
+    /** @} */
 };
 
 /**
- * Deterministic schedule: same config -> same kill points. Mid-write
- * kills are spread across the schedule (not bunched at the front) and
- * at least one is always present when kills >= 1.
+ * Deterministic schedule: same config -> same specs. A quarter of the
+ * kills (at least one per write stream when kills >= 2) land inside a
+ * write. Each entry is one of
+ *
+ *   train.step=kill,after=K-1               die once step K committed
+ *   ckpt.body.write=kill,after_bytes=N      die inside a body write
+ *   ckpt.manifest.write=kill,after_bytes=M  die inside a manifest write
+ *
+ * Mid-write kills are spread across the schedule (not bunched at the
+ * front) and alternate between the body and manifest streams, body
+ * first.
  */
-std::vector<KillPoint> planKillPoints(const KillScheduleConfig &config);
+std::vector<std::string> planKillPoints(const KillScheduleConfig &config);
 
 } // namespace cq::sim
 

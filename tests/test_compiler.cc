@@ -386,8 +386,9 @@ TEST(WorkloadStructure, GradientsUseFourWayE2bqm)
     const WorkloadIR ir = buildTinyCnn();
     for (const auto &task : ir.tasks) {
         if (task.kind == Task::Kind::Gemm &&
-            task.gemm.phase == Phase::NG)
+            task.gemm.phase == Phase::NG) {
             EXPECT_EQ(task.gemm.waysOut, 4u);
+        }
     }
 }
 
@@ -422,8 +423,9 @@ TEST(WorkloadStructure, LstmStepsSerializedByStateTensors)
             task.gemm.phase != Phase::FW ||
             task.gemm.layer != "lstm1")
             continue;
-        if (!prev.empty())
+        if (!prev.empty()) {
             EXPECT_EQ(task.gemm.aTensor, prev);
+        }
         prev = task.gemm.cTensor;
     }
 }

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -30,10 +31,11 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/child_process.h"
+#include "common/failpoint.h"
 #include "common/fileutil.h"
 #include "common/rng.h"
 #include "common/signal_flag.h"
-#include "common/threadpool.h"
 #include "nn/activation.h"
 #include "nn/datasets.h"
 #include "nn/guard/checkpoint.h"
@@ -568,22 +570,101 @@ TEST(SignalShutdown, CancelTokenStopsTrainerCheckpointClean)
 
 // ------------------------------------------- fork-based kill–restart
 
-/** Run fn in a forked child; returns the wait status. */
+/** Deadline for one forked leg; a wedged leg fails, never hangs. */
+constexpr std::uint64_t kLegTimeoutMs = 120000;
+
+/** Run @p fn in a forked child through the shared runner. */
 template <typename Fn>
-int
+ChildResult
 inForkedChild(Fn fn)
 {
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-        ThreadPool::instance().reinitAfterFork();
-        fn();
-        ::_exit(0);
+    return runInChild(
+        [&] {
+            fn();
+            return 0;
+        },
+        kLegTimeoutMs);
+}
+
+/** Arm @p spec in a fresh registry (run inside the child). */
+void
+armOnly(const std::string &spec)
+{
+    fp::Registry::instance().reset();
+    std::string err;
+    if (!fp::Registry::instance().configure(spec, &err)) {
+        std::fprintf(stderr, "bad spec '%s': %s\n", spec.c_str(),
+                     err.c_str());
+        ::_exit(3);
     }
-    EXPECT_GT(pid, 0);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    return status;
+}
+
+/**
+ * Child body: arm @p spec, then evaluate @p site five times with
+ * @p bytes each, appending one byte to @p log before every call. The
+ * log's length tells the parent which call the child died on.
+ */
+ChildResult
+evaluateFiveTimes(const std::string &spec, const std::string &site,
+                  std::uint64_t bytes, const std::string &log)
+{
+    return runInChild(
+        [&] {
+            if (!spec.empty())
+                armOnly(spec);
+            std::FILE *f = std::fopen(log.c_str(), "wb");
+            if (f == nullptr)
+                return 3;
+            for (int i = 0; i < 5; ++i) {
+                std::fputc('e', f);
+                std::fflush(f);
+                CQ_FAILPOINT_BYTES(site, bytes);
+            }
+            std::fclose(f);
+            return 0;
+        },
+        kLegTimeoutMs);
+}
+
+TEST(CrashResume, FailpointKillDiesAtConfiguredPoint)
+{
+    const std::string dir = freshDir("fp_kill");
+
+    // Index trigger: after=2 skips two evaluations, dies on the third.
+    const std::string stepLog = dir + "/step.log";
+    ChildResult r = evaluateFiveTimes("train.step=kill,after=2",
+                                      "train.step", 0, stepLog);
+    EXPECT_TRUE(r.killedBy(SIGKILL));
+    EXPECT_EQ(readAll(stepLog).size(), 3u);
+
+    // Byte trigger: 40-byte calls cover [0,40), [40,80), [80,120);
+    // the third call crosses byte 100 and dies.
+    const std::string byteLog = dir + "/bytes.log";
+    r = evaluateFiveTimes("ckpt.body.write=kill,after_bytes=100",
+                          "ckpt.body.write", 40, byteLog);
+    EXPECT_TRUE(r.killedBy(SIGKILL));
+    EXPECT_EQ(readAll(byteLog).size(), 3u);
+
+    // Unarmed: all five evaluations pass and the child exits 0.
+    const std::string cleanLog = dir + "/clean.log";
+    r = evaluateFiveTimes("", "train.step", 0, cleanLog);
+    EXPECT_TRUE(r.exitedWith(0));
+    EXPECT_EQ(readAll(cleanLog).size(), 5u);
+
+    // Deadline: a child sleeping past 200 ms is timed out and reaped.
+    const auto t0 = std::chrono::steady_clock::now();
+    r = runInChild(
+        [] {
+            std::this_thread::sleep_for(std::chrono::seconds(30));
+            return 0;
+        },
+        200);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(r.kind, ChildResult::Kind::TimedOut);
+    EXPECT_LT(waited, std::chrono::seconds(10));
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD) << "timed-out child was not reaped";
 }
 
 TEST(CrashResume, KillRestartBitwiseIdentical)
@@ -597,39 +678,35 @@ TEST(CrashResume, KillRestartBitwiseIdentical)
     ref.ckptEvery = 5;
     ref.dir = base + "/ref";
     ref.mastersOut = base + "/ref-masters.bin";
-    int status = inForkedChild(
+    ChildResult status = inForkedChild(
         [&] { nn::guard::runCrashHarness(ref); });
-    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    ASSERT_TRUE(status.exitedWith(0));
     const auto refBytes = readAll(ref.mastersOut);
     ASSERT_GT(refBytes.size(), 0u);
 
-    sim::KillScheduleConfig scfg;
+    sim::KillScheduleConfig scfg = nn::guard::killScheduleFor(ref);
     scfg.seed = 5;
     scfg.kills = 12;
-    scfg.maxStep = kSteps;
     const auto plan = sim::planKillPoints(scfg);
     ASSERT_EQ(plan.size(), 12u);
-    std::size_t midWrites = 0;
+    std::size_t bodyKills = 0, manifestKills = 0;
 
     for (std::size_t t = 0; t < plan.size(); ++t) {
-        const auto &kp = plan[t];
-        if (kp.midWrite)
-            ++midWrites;
+        const std::string &spec = plan[t];
+        bodyKills += spec.rfind("ckpt.body.write=", 0) == 0;
+        manifestKills += spec.rfind("ckpt.manifest.write=", 0) == 0;
         const std::string dir =
             base + "/trial-" + std::to_string(t);
 
-        nn::guard::CrashHarnessConfig kill = ref;
-        kill.dir = dir;
-        kill.mastersOut.clear();
-        if (kp.midWrite)
-            kill.killAtWriteBytes = kp.writeBytes + 1;
-        else
-            kill.killAtStep = kp.step;
-        status = inForkedChild(
-            [&] { nn::guard::runCrashHarness(kill); });
-        ASSERT_TRUE(WIFSIGNALED(status) &&
-                    WTERMSIG(status) == SIGKILL)
-            << "trial " << t << ": child survived its kill point";
+        const nn::guard::CrashHarnessConfig kill =
+            nn::guard::killLegFor(ref, spec, dir);
+        status = inForkedChild([&] {
+            armOnly(spec);
+            nn::guard::runCrashHarness(kill);
+        });
+        ASSERT_TRUE(status.killedBy(SIGKILL))
+            << "trial " << t << " (" << spec
+            << "): child survived its kill point";
 
         nn::guard::CrashHarnessConfig res = ref;
         res.dir = dir;
@@ -637,7 +714,7 @@ TEST(CrashResume, KillRestartBitwiseIdentical)
         res.mastersOut = dir + "/masters.bin";
         status = inForkedChild(
             [&] { nn::guard::runCrashHarness(res); });
-        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        ASSERT_TRUE(status.exitedWith(0))
             << "trial " << t << ": resume leg failed";
 
         const auto gotBytes = readAll(res.mastersOut);
@@ -648,8 +725,9 @@ TEST(CrashResume, KillRestartBitwiseIdentical)
             << "trial " << t
             << ": resumed masters differ from uninterrupted run";
     }
-    // The schedule must exercise the mid-checkpoint-write window.
-    EXPECT_GE(midWrites, 1u);
+    // The schedule must exercise both mid-checkpoint-write windows.
+    EXPECT_GE(bodyKills, 1u);
+    EXPECT_GE(manifestKills, 1u);
 }
 
 TEST(CrashResume, ManifestStaysAtomicUnderMidPruneKill)
@@ -669,26 +747,20 @@ TEST(CrashResume, ManifestStaysAtomicUnderMidPruneKill)
                           CheckpointWriteResult::Ok);
         }
 
-        const int status = inForkedChild([&] {
+        const ChildResult status = inForkedChild([&] {
+            // Dies on the write call that reaches byte killByte.
+            armOnly("ckpt.manifest.write=kill,after_bytes=" +
+                    std::to_string(killByte - 1));
             CheckpointStoreConfig tight;
             tight.dir = dir;
             tight.keep = 1;
-            auto killed = std::make_shared<std::uint64_t>(0);
-            tight.write.onWrite = [killed,
-                                   killByte](std::size_t chunk) {
-                *killed += chunk;
-                if (*killed >= killByte)
-                    ::raise(SIGKILL);
-            };
             CheckpointStore store(tight);
             store.prune();
         });
         // Offsets past the manifest size let the child finish; both
         // outcomes must leave a loadable store.
-        const bool killed =
-            WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-        const bool finished =
-            WIFEXITED(status) && WEXITSTATUS(status) == 0;
+        const bool killed = status.killedBy(SIGKILL);
+        const bool finished = status.exitedWith(0);
         ASSERT_TRUE(killed || finished);
 
         CheckpointStore store(cfg);

@@ -306,10 +306,11 @@ TEST(FaultInjectorCoded, DeterministicAcrossThreadCounts)
             inj.corruptCoded(buf.data(), n, ecc.checkBits(),
                              ecc.numWords(),
                              sim::FaultSite::MasterWeights);
-        std::vector<std::uint8_t> image(n * sizeof(float));
-        std::memcpy(image.data(), buf.data(), image.size());
-        image.insert(image.end(), ecc.checkBits(),
-                     ecc.checkBits() + ecc.numWords());
+        const std::size_t dataBytes = n * sizeof(float);
+        std::vector<std::uint8_t> image(dataBytes + ecc.numWords());
+        std::memcpy(image.data(), buf.data(), dataBytes);
+        std::memcpy(image.data() + dataBytes, ecc.checkBits(),
+                    ecc.numWords());
         return image;
     };
     const auto serial = runOnce(1);

@@ -115,6 +115,10 @@ TEST_F(Failpoint, ParseActionKinds)
     ASSERT_TRUE(fp::parseAction("alloc", c));
     EXPECT_EQ(c.kind, fp::ActionKind::AllocFail);
 
+    ASSERT_TRUE(fp::parseAction("kill", c));
+    EXPECT_EQ(c.kind, fp::ActionKind::Kill);
+    EXPECT_STREQ(fp::actionKindName(c.kind), "kill");
+
     ASSERT_TRUE(fp::parseAction("off", c));
     EXPECT_EQ(c.kind, fp::ActionKind::Off);
 }

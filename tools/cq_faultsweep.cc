@@ -22,46 +22,61 @@
  * the codebase (--mode selftest proves the audit fires).
  *
  * Modes (--mode):
- *   sweep        one trial per declared site (default action
- *                "fail,once=1", override with --action)
+ *   sweep        one trial per declared site but train.step, which
+ *                only kill-resume arms (default action "fail,once=1",
+ *                override with --action)
  *   pairs        sampled two-site trials within a scenario family
  *   enospc       byte-offset scan: disk turns (and stays) full at
  *                every --enospc-stride'th byte of the checkpoint
  *                body / manifest write streams
  *   obs-identity instrumented run with every obs.* sink failpoint
- *                firing must train bitwise identically (mastersCrc)
- *                to a dark run
+ *                firing must train bitwise identically (master
+ *                weight bytes) to a dark run
+ *   kill-resume  kill–restart crash consistency: one reference leg,
+ *                then per planned kill (sim::planKillPoints, failpoint
+ *                `kill` specs at the train.step boundary and inside
+ *                body and manifest writes; mid-write kill legs commit
+ *                synchronously) a kill leg that must die by SIGKILL
+ *                and a resume leg whose masters must equal the
+ *                reference byte for byte
  *   selftest     an unregistered failure path must be caught
  *   list         print the declared site table
- *   all          sweep + pairs + enospc + obs-identity + selftest
+ *   all          sweep + pairs + enospc + obs-identity + kill-resume
+ *                + selftest
  *
- * Every trial runs in a forked child (a genuinely dying child never
- * takes the sweep down); the parent classifies exit status. Exits 0
- * iff no trial crashed, hung, or violated an invariant AND at least
- * --min-covered sites actually fired.
+ * Every trial runs in a forked child through runInChild()
+ * (common/child_process.h: a genuinely dying child never takes the
+ * sweep down, and one outliving --timeout-ms is killed and counted
+ * hung); the parent classifies how it ended. Exits 0 iff no trial
+ * crashed, hung, or violated an invariant AND at least --min-covered
+ * sites actually fired. Without --dir the sweep works in a fresh
+ * /tmp directory, removed after a clean run and kept (path printed)
+ * after a failure.
  */
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/argparse.h"
 #include "common/cancel.h"
+#include "common/child_process.h"
 #include "common/failpoint.h"
 #include "common/fileutil.h"
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "dist/dist_harness.h"
 #include "harness/export.h"
 #include "nn/guard/ckpt_store.h"
@@ -70,6 +85,7 @@
 #include "obs/obs_server.h"
 #include "serve/job_runner.h"
 #include "serve/report.h"
+#include "sim/faults/kill_schedule.h"
 
 using namespace cq;
 
@@ -111,29 +127,33 @@ struct Options
     bool verbose = false;
 };
 
+/** How one trial ended. */
+enum TrialResult : unsigned
+{
+    Handled,
+    NotCovered,
+    Undeclared,
+    Invariant,
+    Crashed,
+    Hung,
+    kTrialResults
+};
+
+const char *const kTrialResultNames[kTrialResults] = {
+    "handled", "not-covered", "UNDECLARED-SITE", "INVARIANT-VIOLATION",
+    "CRASHED", "HUNG"};
+
 struct Tally
 {
-    unsigned handled = 0;
-    unsigned notCovered = 0;
-    unsigned undeclared = 0;
-    unsigned invariant = 0;
-    unsigned crashed = 0;
-    unsigned hung = 0;
-    std::vector<std::string> coveredSites;
+    unsigned count[kTrialResults] = {};
+    std::set<std::string> coveredSites;
 
     bool
     clean() const
     {
-        return undeclared == 0 && invariant == 0 && crashed == 0 &&
-               hung == 0;
-    }
-
-    void
-    cover(const std::string &site)
-    {
-        if (std::find(coveredSites.begin(), coveredSites.end(),
-                      site) == coveredSites.end())
-            coveredSites.push_back(site);
+        return count[Undeclared] + count[Invariant] + count[Crashed] +
+                   count[Hung] ==
+               0;
     }
 };
 
@@ -146,10 +166,14 @@ startsWith(const std::string &s, const char *prefix)
 /**
  * Scenario family of a site. Sites of one family fire inside the same
  * short run, which is also the sampling domain for --mode pairs.
+ * train.step only takes the `kill` action, so only kill-resume arms
+ * it; sweep and pairs skip its "kill" family.
  */
 std::string
 familyOf(const std::string &site)
 {
+    if (site == "train.step")
+        return "kill";
     if (startsWith(site, "obs."))
         return "obs";
     if (startsWith(site, "dist.manifest."))
@@ -237,15 +261,15 @@ runCkptScenario(const std::string &dir, const std::vector<Arm> &arms,
     return storeStillLoads(cfg.dir) ? kHandled : kInvariantViolation;
 }
 
-/** Single leg with every observability output on — including a live
- *  ObsServer being scraped from a sidecar thread, so the obs.http.*
- *  sites evaluate; an obs failure must never stop training. */
-int
-runObsScenario(const std::string &dir, const std::vector<Arm> &arms,
-               CancelToken &cancel)
+/**
+ * One leg with every observability output on while a live ObsServer
+ * is scraped from a sidecar thread, so the obs.http.* sites evaluate
+ * too. Observability is output-only: the leg must train exactly as
+ * @p cfg would dark.
+ */
+nn::guard::CrashHarnessResult
+runLitLeg(nn::guard::CrashHarnessConfig cfg, const std::string &dir)
 {
-    armAll(arms);
-
     obs::ObsServer server;
     obs::ObsServerConfig scfg; // port 0 = ephemeral
     const bool serverUp = server.start(scfg);
@@ -262,11 +286,6 @@ runObsScenario(const std::string &dir, const std::vector<Arm> &arms,
         }
     });
 
-    nn::guard::CrashHarnessConfig cfg;
-    cfg.seed = 23;
-    cfg.steps = 8;
-    cfg.batchSize = 16;
-    cfg.cancel = &cancel;
     cfg.telemetryOut = dir + "/telemetry.jsonl";
     cfg.traceOut = dir + "/trace.json";
     cfg.metricsOut = dir + "/metrics.prom";
@@ -284,7 +303,22 @@ runObsScenario(const std::string &dir, const std::vector<Arm> &arms,
     stopScrape.store(true);
     scraper.join();
     server.stop();
+    return r;
+}
 
+/** The lit leg with @p arms firing; an obs failure must never stop
+ *  training. */
+int
+runObsScenario(const std::string &dir, const std::vector<Arm> &arms,
+               CancelToken &cancel)
+{
+    armAll(arms);
+    nn::guard::CrashHarnessConfig cfg;
+    cfg.seed = 23;
+    cfg.steps = 8;
+    cfg.batchSize = 16;
+    cfg.cancel = &cancel;
+    const auto r = runLitLeg(cfg, dir);
     return (!r.cancelled && r.stepsRun == cfg.steps)
                ? kHandled
                : kInvariantViolation;
@@ -361,14 +395,13 @@ runBenchScenario(const std::string &dir, const std::vector<Arm> &arms,
 }
 
 /**
- * Child body for one trial. Never returns: exits with a ChildExit.
- * @p family picks the scenario; arms fire inside it.
+ * Child body for one trial: returns a ChildExit. @p family picks the
+ * scenario; arms fire inside it.
  */
-[[noreturn]] void
+int
 childTrial(const std::string &family, const std::string &dir,
            const std::vector<Arm> &arms, std::uint64_t timeoutMs)
 {
-    ThreadPool::instance().reinitAfterFork();
     fp::Registry::instance().reset();
     fp::Registry::instance().setTrace(true);
     CancelToken cancel;
@@ -394,7 +427,7 @@ childTrial(const std::string &family, const std::string &dir,
                          "%s: site '%s' was evaluated but is not in "
                          "the declared table (common/failpoint.cc)\n",
                          kProg, s.c_str());
-            std::exit(kUndeclaredSite);
+            return kUndeclaredSite;
         }
     }
     // Did the armed sites actually fire?
@@ -403,66 +436,40 @@ childTrial(const std::string &family, const std::string &dir,
         for (const Arm &a : arms)
             fires += fp::Registry::instance().site(a.site).fires();
         if (fires == 0)
-            std::exit(kNotCovered);
+            return kNotCovered;
     }
-    std::exit(rc);
+    return rc;
 }
 
 // ----------------------------------------------------------- parent
 
-/** Outcome classification of one reaped child. */
-enum class TrialResult
+/** Classify how a trial child ended: a signal is a crash, a
+ *  timeout a hang (invariant 2), an exit code a ChildExit. */
+TrialResult
+classify(const ChildResult &child)
 {
-    Handled,
-    NotCovered,
-    Undeclared,
-    Invariant,
-    Crashed,
-    Hung,
-};
-
-const char *
-trialResultName(TrialResult r)
-{
-    switch (r) {
-      case TrialResult::Handled:    return "handled";
-      case TrialResult::NotCovered: return "not-covered";
-      case TrialResult::Undeclared: return "UNDECLARED-SITE";
-      case TrialResult::Invariant:  return "INVARIANT-VIOLATION";
-      case TrialResult::Crashed:    return "CRASHED";
-      case TrialResult::Hung:       return "HUNG";
+    if (child.kind != ChildResult::Kind::Exited)
+        return child.kind == ChildResult::Kind::TimedOut ? Hung : Crashed;
+    switch (child.code) {
+      case kHandled:            return Handled;
+      case kNotCovered:         return NotCovered;
+      case kUndeclaredSite:     return Undeclared;
+      case kInvariantViolation: return Invariant;
+      default:                  return Crashed;
     }
-    return "?";
 }
 
-/** waitpid with a deadline; a child that outlives it is killed and
- *  classified Hung (invariant 2). */
-TrialResult
-reapWithDeadline(pid_t pid, std::uint64_t timeoutMs)
+/** Remove @p path recursively; exit 2 with a diagnostic if that
+ *  fails. */
+void
+removeTree(const std::string &path)
 {
-    const std::uint64_t pollUs = 2000;
-    std::uint64_t waitedUs = 0;
-    for (;;) {
-        int status = 0;
-        const pid_t r = ::waitpid(pid, &status, WNOHANG);
-        if (r == pid) {
-            if (WIFSIGNALED(status))
-                return TrialResult::Crashed;
-            switch (WEXITSTATUS(status)) {
-              case kHandled:            return TrialResult::Handled;
-              case kNotCovered:         return TrialResult::NotCovered;
-              case kUndeclaredSite:     return TrialResult::Undeclared;
-              case kInvariantViolation: return TrialResult::Invariant;
-              default:                  return TrialResult::Crashed;
-            }
-        }
-        if (waitedUs / 1000 >= timeoutMs) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, nullptr, 0);
-            return TrialResult::Hung;
-        }
-        ::usleep(pollUs);
-        waitedUs += pollUs;
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+    if (ec) {
+        std::fprintf(stderr, "%s: cannot remove %s: %s\n", kProg,
+                     path.c_str(), ec.message().c_str());
+        std::exit(2);
     }
 }
 
@@ -472,6 +479,9 @@ trialDir(const Options &opt, unsigned index)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "/trial-%04u", index);
     const std::string d = opt.dir + buf;
+    // A --dir reused across runs must not hand a trial the previous
+    // run's stores: a resume would restore their generations.
+    removeTree(d);
     ensureDir(d);
     return d;
 }
@@ -483,26 +493,17 @@ runTrial(const Options &opt, const std::string &family,
          const std::vector<Arm> &arms)
 {
     const std::string dir = trialDir(opt, g_trialIndex++);
-    // Children inherit the parent's stdio buffers and would flush
-    // them again at exit, duplicating every buffered line.
-    std::fflush(stdout);
-    std::fflush(stderr);
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        std::fprintf(stderr, "%s: fork failed\n", kProg);
-        std::exit(2);
-    }
-    if (pid == 0)
-        childTrial(family, dir, arms, opt.timeoutMs);
-    const TrialResult res = reapWithDeadline(pid, opt.timeoutMs);
+    const TrialResult res = classify(runInChild(
+        [&] { return childTrial(family, dir, arms, opt.timeoutMs); },
+        opt.timeoutMs));
     std::string label;
     for (const Arm &a : arms) {
         if (!label.empty())
             label += " + ";
         label += a.site + '=' + a.action;
     }
-    if (opt.verbose || res != TrialResult::Handled)
-        std::printf("%-11s %-7s %s\n", trialResultName(res),
+    if (opt.verbose || res != Handled)
+        std::printf("%-11s %-7s %s\n", kTrialResultNames[res],
                     family.c_str(), label.c_str());
     return res;
 }
@@ -510,18 +511,10 @@ runTrial(const Options &opt, const std::string &family,
 void
 tallyUp(Tally &t, TrialResult res, const std::vector<Arm> &arms)
 {
-    switch (res) {
-      case TrialResult::Handled:
-        ++t.handled;
+    ++t.count[res];
+    if (res == Handled)
         for (const Arm &a : arms)
-            t.cover(a.site);
-        break;
-      case TrialResult::NotCovered: ++t.notCovered; break;
-      case TrialResult::Undeclared: ++t.undeclared; break;
-      case TrialResult::Invariant:  ++t.invariant; break;
-      case TrialResult::Crashed:    ++t.crashed; break;
-      case TrialResult::Hung:       ++t.hung; break;
-    }
+            t.coveredSites.insert(a.site);
 }
 
 void
@@ -529,6 +522,8 @@ modeSweep(const Options &opt, Tally &tally)
 {
     for (const std::string &site : fp::Registry::declaredSites()) {
         if (!opt.filter.empty() && !startsWith(site, opt.filter.c_str()))
+            continue;
+        if (familyOf(site) == "kill")
             continue;
         const std::vector<Arm> arms = {{site, opt.action}};
         tallyUp(tally, runTrial(opt, familyOf(site), arms), arms);
@@ -540,35 +535,23 @@ modePairs(const Options &opt, Tally &tally)
 {
     // Sample pairs within one scenario family: two faults that can
     // genuinely interact inside one run.
-    std::vector<std::vector<std::string>> families;
-    for (const std::string &site : fp::Registry::declaredSites()) {
-        const std::string fam = familyOf(site);
-        bool placed = false;
-        for (auto &f : families) {
-            if (familyOf(f.front()) == fam) {
-                f.push_back(site);
-                placed = true;
-            }
-        }
-        if (!placed)
-            families.push_back({site});
-    }
+    std::map<std::string, std::vector<std::string>> families;
+    for (const std::string &site : fp::Registry::declaredSites())
+        if (familyOf(site) != "kill")
+            families[familyOf(site)].push_back(site);
     Rng rng(opt.seed);
     for (std::uint64_t i = 0; i < opt.pairs; ++i) {
-        const auto &fam =
-            families[static_cast<std::size_t>(rng.next()) %
-                     families.size()];
-        if (fam.size() < 2)
+        const auto &[family, sites] =
+            *std::next(families.begin(), rng.below(families.size()));
+        if (sites.size() < 2)
             continue;
-        const std::size_t a =
-            static_cast<std::size_t>(rng.next()) % fam.size();
-        std::size_t b = static_cast<std::size_t>(rng.next()) %
-                        (fam.size() - 1);
+        const std::uint64_t a = rng.below(sites.size());
+        std::uint64_t b = rng.below(sites.size() - 1);
         if (b >= a)
             ++b;
-        const std::vector<Arm> arms = {{fam[a], opt.action},
-                                       {fam[b], opt.action}};
-        tallyUp(tally, runTrial(opt, familyOf(fam[a]), arms), arms);
+        const std::vector<Arm> arms = {{sites[a], opt.action},
+                                       {sites[b], opt.action}};
+        tallyUp(tally, runTrial(opt, family, arms), arms);
     }
 }
 
@@ -585,12 +568,20 @@ modeEnospc(const Options &opt, Tally &tally)
                 {site, "short,after_bytes=" + std::to_string(k)}};
             const TrialResult res = runTrial(opt, "ckpt", arms);
             tallyUp(tally, res, arms);
-            if (res == TrialResult::NotCovered)
+            if (res == NotCovered)
                 break; // past the total bytes this scenario writes
-            if (res != TrialResult::Handled)
+            if (res != Handled)
                 break; // already recorded; no point scanning on
         }
     }
+}
+
+/** A whole file's bytes; empty when it is missing. */
+std::vector<char>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
 }
 
 void
@@ -600,87 +591,134 @@ modeObsIdentity(const Options &opt, Tally &tally)
     // sink failpoint fires (persistently!) — while a live ObsServer
     // is being scraped — must train bitwise identically to a dark
     // run.
-    const auto leg = [&](const std::string &dir, bool lit,
-                         std::uint32_t &crcOut) -> bool {
-        const std::string crcPath = dir + "/crc.txt";
-        std::fflush(stdout);
-        std::fflush(stderr);
-        const pid_t pid = ::fork();
-        if (pid == 0) {
-            ThreadPool::instance().reinitAfterFork();
-            fp::Registry::instance().reset();
-            nn::guard::CrashHarnessConfig cfg;
-            cfg.seed = 29;
-            cfg.steps = 10;
-            cfg.batchSize = 16;
-            obs::ObsServer server;
-            std::atomic<bool> stopScrape{false};
-            std::thread scraper;
-            if (lit) {
-                fp::Registry::instance().setTrace(true);
-                for (const std::string &s :
-                     fp::Registry::declaredSites())
-                    if (startsWith(s, "obs."))
-                        armAll({{s, "fail"}});
-                cfg.telemetryOut = dir + "/telemetry.jsonl";
-                cfg.traceOut = dir + "/trace.json";
-                cfg.metricsOut = dir + "/metrics.prom";
-                cfg.metricsEvery = 2;
-                obs::ObsServerConfig scfg; // ephemeral port
-                if (server.start(scfg)) {
-                    scraper = std::thread([&] {
-                        while (!stopScrape.load()) {
-                            int status = 0;
-                            std::string body;
-                            obs::httpGet(server.port(), "/metrics",
-                                         status, body, 500);
-                            ::usleep(2000);
-                        }
-                    });
+    const auto leg = [&](bool lit) {
+        const std::string dir = trialDir(opt, g_trialIndex++);
+        nn::guard::CrashHarnessConfig cfg;
+        cfg.seed = 29;
+        cfg.steps = 10;
+        cfg.batchSize = 16;
+        cfg.mastersOut = dir + "/masters.bin";
+        const ChildResult run = runInChild(
+            [&] {
+                fp::Registry::instance().reset();
+                if (lit) {
+                    fp::Registry::instance().setTrace(true);
+                    for (const std::string &s :
+                         fp::Registry::declaredSites())
+                        if (startsWith(s, "obs."))
+                            armAll({{s, "fail"}});
                 }
-            }
-            const auto r = nn::guard::runCrashHarness(cfg);
-            stopScrape.store(true);
-            if (scraper.joinable())
-                scraper.join();
-            server.stop();
-            std::FILE *f = std::fopen(crcPath.c_str(), "w");
-            if (f == nullptr)
-                std::exit(kInvariantViolation);
-            std::fprintf(f, "%u %llu\n", r.mastersCrc,
-                         static_cast<unsigned long long>(r.stepsRun));
-            std::fclose(f);
-            std::exit(kHandled);
-        }
-        if (reapWithDeadline(pid, opt.timeoutMs) !=
-            TrialResult::Handled)
-            return false;
-        std::FILE *f = std::fopen(crcPath.c_str(), "r");
-        if (f == nullptr)
-            return false;
-        unsigned crc = 0;
-        unsigned long long steps = 0;
-        const bool ok = std::fscanf(f, "%u %llu", &crc, &steps) == 2;
-        std::fclose(f);
-        crcOut = crc;
-        return ok && steps == 10;
+                const auto r = lit ? runLitLeg(cfg, dir)
+                                   : nn::guard::runCrashHarness(cfg);
+                return r.stepsRun == cfg.steps ? kHandled
+                                               : kInvariantViolation;
+            },
+            opt.timeoutMs);
+        return run.exitedWith(kHandled) ? readFile(cfg.mastersOut)
+                                        : std::vector<char>();
     };
 
-    std::uint32_t dark = 0, lit = 1;
-    const bool okDark =
-        leg(trialDir(opt, g_trialIndex++), false, dark);
-    const bool okLit = leg(trialDir(opt, g_trialIndex++), true, lit);
-    const bool identical = okDark && okLit && dark == lit;
-    std::printf("obs-identity: dark=%08x lit=%08x -> %s\n", dark, lit,
-                identical ? "identical" : "DIVERGED");
-    if (identical) {
-        ++tally.handled;
-        for (const std::string &s : fp::Registry::declaredSites())
-            if (startsWith(s, "obs."))
-                tally.cover(s);
-    } else {
-        ++tally.invariant;
+    const std::vector<char> dark = leg(false), lit = leg(true);
+    const bool identical = !dark.empty() && dark == lit;
+    std::printf("obs-identity: lit run's masters %s the dark run's\n",
+                identical ? "identical to" : "DIVERGED from");
+    ++tally.count[identical ? Handled : Invariant];
+    for (const std::string &s : fp::Registry::declaredSites())
+        if (identical && startsWith(s, "obs."))
+            tally.coveredSites.insert(s);
+}
+
+void
+modeKillResume(const Options &opt, Tally &tally)
+{
+    // A SIGKILLed training run resumed from its store must finish
+    // with masters bitwise identical to an uninterrupted run: 20
+    // planned kills into 60-step runs checkpointing every 5 steps,
+    // keep 3, committed on the async writer thread (synchronously in
+    // mid-write kill legs, nn::guard::killLegFor).
+    constexpr std::size_t kKills = 20;
+    const std::string base = trialDir(opt, g_trialIndex++);
+    nn::guard::CrashHarnessConfig ref;
+    ref.seed = opt.seed + 100; // model/data seed, distinct from plan's
+    ref.steps = 60;
+    ref.ckptEvery = 5;
+    ref.ckptKeep = 3;
+    ref.asyncCheckpoint = true;
+    ref.dir = base + "/ref";
+    ref.mastersOut = base + "/ref-masters.bin";
+
+    // One leg in a child with @p spec armed on top of CQ_FAILPOINTS
+    // (e.g. "ckpt.body.write=delay,us=200" for a slow disk).
+    const auto leg = [&](const nn::guard::CrashHarnessConfig &cfg,
+                         const std::string &spec) {
+        return runInChild(
+            [&] {
+                if (!fp::Registry::instance().configure(spec))
+                    return kInvariantViolation;
+                nn::guard::runCrashHarness(cfg);
+                return kHandled;
+            },
+            opt.timeoutMs);
+    };
+
+    const std::vector<char> refBytes =
+        leg(ref, "").exitedWith(kHandled) ? readFile(ref.mastersOut)
+                                          : std::vector<char>();
+    if (refBytes.empty()) {
+        std::printf("kill-resume: reference leg FAILED\n");
+        ++tally.count[Invariant];
+        return;
     }
+    sim::KillScheduleConfig scfg = nn::guard::killScheduleFor(ref);
+    scfg.seed = opt.seed;
+    scfg.kills = kKills;
+    const std::vector<std::string> plan = sim::planKillPoints(scfg);
+
+    unsigned identical = 0, bodyKills = 0, manifestKills = 0;
+    for (std::size_t t = 0; t < plan.size(); ++t) {
+        const std::string &spec = plan[t];
+        const std::string site = spec.substr(0, spec.find('='));
+        const nn::guard::CrashHarnessConfig kill = nn::guard::killLegFor(
+            ref, spec, base + "/trial-" + std::to_string(t));
+        const ChildResult killRun = leg(kill, spec);
+
+        nn::guard::CrashHarnessConfig res = ref;
+        res.dir = kill.dir;
+        res.resume = true;
+        res.mastersOut = kill.dir + "/masters.bin";
+        const ChildResult resRun = leg(res, "");
+
+        TrialResult r = Invariant;
+        const char *verdict = "bitwise-identical";
+        if (killRun.kind == ChildResult::Kind::TimedOut ||
+            resRun.kind == ChildResult::Kind::TimedOut) {
+            r = Hung;
+            verdict = "HUNG";
+        } else if (!killRun.killedBy(SIGKILL)) {
+            verdict = "SURVIVED-KILL";
+        } else if (!resRun.exitedWith(kHandled)) {
+            verdict = "RESUME-FAILED";
+        } else if (readFile(res.mastersOut) != refBytes) {
+            verdict = "MISMATCH";
+        } else {
+            r = Handled;
+            ++identical;
+            tally.coveredSites.insert(site);
+            bodyKills += site == "ckpt.body.write";
+            manifestKills += site == "ckpt.manifest.write";
+        }
+        ++tally.count[r];
+        if (opt.verbose || r != Handled)
+            std::printf("kill-resume %2zu  %-42s %s\n", t,
+                        spec.c_str(), verdict);
+    }
+    const bool bothStreams = bodyKills > 0 && manifestKills > 0;
+    std::printf("kill-resume: %u/%zu resumed runs bitwise identical; "
+                "mid-write kills landed: %u body, %u manifest%s\n",
+                identical, plan.size(), bodyKills, manifestKills,
+                bothStreams ? "" : " (NEED >= 1 EACH)");
+    if (!bothStreams)
+        ++tally.count[Invariant];
 }
 
 void
@@ -689,30 +727,23 @@ modeSelftest(const Options &opt, Tally &tally)
     // Deliberately evaluate a site that is NOT in the declared table;
     // the sweep's coverage audit must catch it. If this trial comes
     // back "handled", the audit is broken.
-    const std::string dir = trialDir(opt, g_trialIndex++);
-    std::fflush(stdout);
-    std::fflush(stderr);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-        ThreadPool::instance().reinitAfterFork();
-        fp::Registry::instance().reset();
-        fp::Registry::instance().setTrace(true);
-        // A hypothetical unregistered failure path in some new code:
-        (void)CQ_FAILPOINT("selftest.unregistered_path");
-        for (const std::string &s :
-             fp::Registry::instance().hitSites())
-            if (!fp::Registry::isDeclared(s))
-                std::exit(kUndeclaredSite);
-        std::exit(kHandled);
-    }
-    const TrialResult res = reapWithDeadline(pid, opt.timeoutMs);
-    const bool caught = res == TrialResult::Undeclared;
+    const TrialResult res = classify(runInChild(
+        [] {
+            fp::Registry::instance().reset();
+            fp::Registry::instance().setTrace(true);
+            // A hypothetical unregistered failure path in new code:
+            CQ_FAILPOINT("selftest.unregistered_path");
+            for (const std::string &s :
+                 fp::Registry::instance().hitSites())
+                if (!fp::Registry::isDeclared(s))
+                    return kUndeclaredSite;
+            return kHandled;
+        },
+        opt.timeoutMs));
+    const bool caught = res == Undeclared;
     std::printf("selftest: unregistered failure path %s\n",
                 caught ? "caught by the audit" : "NOT CAUGHT");
-    if (caught)
-        ++tally.handled;
-    else
-        ++tally.invariant;
+    ++tally.count[caught ? Handled : Invariant];
 }
 
 void
@@ -720,8 +751,8 @@ printUsage(std::FILE *to)
 {
     std::fprintf(
         to,
-        "usage: cq_faultsweep [--mode "
-        "all|sweep|pairs|enospc|obs-identity|selftest|list]\n"
+        "usage: cq_faultsweep [--mode all|sweep|pairs|enospc|"
+        "obs-identity|kill-resume|selftest|list]\n"
         "                     [--filter PREFIX] [--action ACT]\n"
         "                     [--pairs N] [--enospc-stride N]\n"
         "                     [--timeout-ms T] [--seed S]\n"
@@ -775,6 +806,16 @@ main(int argc, char **argv)
         }
     }
 
+    static const char *const kModes[] = {
+        "all",          "sweep",       "pairs",    "enospc",
+        "obs-identity", "kill-resume", "selftest", "list"};
+    if (std::find(std::begin(kModes), std::end(kModes), opt.mode) ==
+        std::end(kModes)) {
+        std::fprintf(stderr, "%s: unknown mode '%s'\n", kProg,
+                     opt.mode.c_str());
+        printUsage(stderr);
+        return 2;
+    }
     if (opt.mode == "list") {
         for (const std::string &s : fp::Registry::declaredSites())
             std::printf("%-24s (%s)\n", s.c_str(),
@@ -784,7 +825,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (opt.dir.empty()) {
+    const bool ownDir = opt.dir.empty();
+    if (ownDir) {
         char tmpl[] = "/tmp/cq_faultsweep.XXXXXX";
         const char *d = ::mkdtemp(tmpl);
         if (d == nullptr) {
@@ -797,41 +839,44 @@ main(int argc, char **argv)
     }
 
     Tally tally;
-    const bool all = opt.mode == "all";
-    if (all || opt.mode == "sweep")
+    const auto runs = [&](const char *mode) {
+        return opt.mode == "all" || opt.mode == mode;
+    };
+    if (runs("sweep"))
         modeSweep(opt, tally);
-    if (all || opt.mode == "pairs")
+    if (runs("pairs"))
         modePairs(opt, tally);
-    if (all || opt.mode == "enospc")
+    if (runs("enospc"))
         modeEnospc(opt, tally);
-    if (all || opt.mode == "obs-identity")
+    if (runs("obs-identity"))
         modeObsIdentity(opt, tally);
-    if (all || opt.mode == "selftest")
+    if (runs("kill-resume"))
+        modeKillResume(opt, tally);
+    if (runs("selftest"))
         modeSelftest(opt, tally);
-    if (!all && opt.mode != "sweep" && opt.mode != "pairs" &&
-        opt.mode != "enospc" && opt.mode != "obs-identity" &&
-        opt.mode != "selftest") {
-        std::fprintf(stderr, "%s: unknown mode '%s'\n", kProg,
-                     opt.mode.c_str());
-        return 2;
-    }
 
     std::printf("\nfaultsweep summary: %u handled, %u not-covered, "
                 "%u undeclared, %u invariant, %u crashed, %u hung; "
                 "%zu/%zu declared sites covered\n",
-                tally.handled, tally.notCovered, tally.undeclared,
-                tally.invariant, tally.crashed, tally.hung,
+                tally.count[Handled], tally.count[NotCovered],
+                tally.count[Undeclared], tally.count[Invariant],
+                tally.count[Crashed], tally.count[Hung],
                 tally.coveredSites.size(),
                 fp::Registry::declaredSites().size());
-    if (!tally.clean())
-        return 1;
-    if (tally.coveredSites.size() < opt.minCovered) {
+    const bool covered = tally.coveredSites.size() >= opt.minCovered;
+    if (!covered) {
         std::fprintf(stderr,
                      "%s: only %zu sites covered (< --min-covered "
                      "%llu)\n",
                      kProg, tally.coveredSites.size(),
                      static_cast<unsigned long long>(opt.minCovered));
+    }
+    if (!tally.clean() || !covered) {
+        std::fprintf(stderr, "%s: trial directories kept in %s\n",
+                     kProg, opt.dir.c_str());
         return 1;
     }
+    if (ownDir)
+        removeTree(opt.dir);
     return 0;
 }
