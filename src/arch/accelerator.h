@@ -3,13 +3,18 @@
  * Top-level Cambricon-Q timing simulator.
  *
  * Executes a Program (tile-granular instruction stream with explicit
- * dependences) on an event-driven model of the chip: two DMA engines
+ * dependences) on a model of the chip's five units: two DMA engines
  * (load/store) sharing the DRAM controller, the PE array, the SFU and
  * the NDP engine, with the SQU constraining the throughput of Q*
  * instructions. Latencies of compute instructions come from the
  * analytical PE-array occupancy model; every memory burst goes through
  * the command-level DRAM model. The load/compute/store overlap that
  * double buffering provides falls out of the per-unit queues.
+ *
+ * Each unit holds at most one instruction, so simulated time advances
+ * from one completion to the next: the executor retires the earliest
+ * completion (ties in issue order), then offers every unit, in Unit
+ * order, the head of its queue once that head's dependences are done.
  */
 
 #ifndef CQ_ARCH_ACCELERATOR_H
@@ -94,6 +99,8 @@ class Accelerator
      * Simulate @p program from a cold start and report. When
      * @p collect_trace is set, the report carries the full
      * per-instruction timeline (one TraceEntry per instruction).
+     * Panics unless every dependence points to an earlier instruction
+     * (validateProgram); no other consumer checks this.
      */
     PerfReport run(const Program &program, bool collect_trace = false);
 

@@ -100,7 +100,8 @@ struct Instr
     /** E2BQM ways for Q* instructions (1 = plain DQ). */
     std::uint8_t ways = 1;
 
-    /** Indices of instructions this one depends on. */
+    /** Indices of earlier instructions this one depends on; it
+     *  issues once all of them have completed. */
     std::vector<std::uint32_t> deps;
 
     /** Origin label (layer name) for diagnostics. */
@@ -143,7 +144,11 @@ Instr decodeInstr(const EncodedInstr &encoded);
 Bytes programLoadBytes(const Program &prog);
 Bytes programStoreBytes(const Program &prog);
 
-/** Sanity-check dependence indices (must point backwards). */
+/**
+ * Sanity-check dependence indices (must point backwards).
+ * Accelerator::run checks every program it executes; code generation
+ * does not check its own output.
+ */
 bool validateProgram(const Program &prog, std::string *error = nullptr);
 
 } // namespace cq::arch

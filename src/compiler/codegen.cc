@@ -821,10 +821,7 @@ generateProgram(const WorkloadIR &ir,
                 const CodegenOptions &options)
 {
     Codegen cg(ir, config, options);
-    Program prog = cg.run();
-    std::string err;
-    CQ_ASSERT_MSG(validateProgram(prog, &err), "%s", err.c_str());
-    return prog;
+    return cg.run();
 }
 
 TrafficSummary

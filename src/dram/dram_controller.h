@@ -12,7 +12,7 @@
  * counters follow in closed form. The timing equals scheduling every
  * burst on its own, tick for tick. The model is transaction-driven:
  * callers present transfers in nondecreasing simulated time (the
- * event-driven executor guarantees this) and receive the completion
+ * accelerator's executor guarantees this) and receive the completion
  * tick. Row-hit/miss behaviour, bandwidth saturation and per-command
  * energy are all tracked.
  *
@@ -77,7 +77,7 @@ class DramController
     /** Total bytes moved over the data bus so far. */
     Bytes busBytes() const { return busBytes_; }
 
-    /** Activity counters (acts, reads, writes, rowHits, ...),
+    /** Activity counters (acts, reads, writes, rowHits, segments, ...),
      *  materialized from the internal fast counters. */
     StatGroup stats() const;
 
@@ -156,6 +156,9 @@ class DramController
     std::uint64_t nNdpElements_ = 0;
     std::uint64_t nNdpRowGroups_ = 0;
     std::uint64_t nRefreshes_ = 0;
+    /** Row segments scheduled: transfer loop iterations plus NDP
+     *  gradient-write runs. */
+    std::uint64_t nSegments_ = 0;
     /** @} */
 
     /** Next scheduled all-bank refresh. */

@@ -2,11 +2,17 @@
  * @file
  * Tests of the architecture models: PE-array bit-serial datapath,
  * SQU timing, QBC requantization, NDP engine functional equivalence,
- * ISA helpers, and end-to-end executor smoke tests.
+ * ISA helpers, end-to-end executor smoke tests, and the differential
+ * check of the executor against the event-queue oracle
+ * (accelerator_event_queue_oracle.h).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "accelerator_event_queue_oracle.h"
 #include "arch/accelerator.h"
 #include "arch/config.h"
 #include "arch/isa.h"
@@ -14,7 +20,10 @@
 #include "arch/pe_array.h"
 #include "arch/qbc.h"
 #include "arch/squ.h"
+#include "baseline/tpu_sim.h"
 #include "common/rng.h"
+#include "compiler/codegen.h"
+#include "compiler/workloads.h"
 #include "nn/optimizer.h"
 
 namespace cq::arch {
@@ -583,6 +592,214 @@ TEST(Accelerator, QbcRequantsCountedOnWgGemms)
     const PerfReport r2 =
         Accelerator(CambriconQConfig::edge()).run({fw});
     EXPECT_EQ(r2.activity.get("qbc.requants"), 0.0);
+}
+
+TEST(AcceleratorDeath, ForwardDependencePanics)
+{
+    // run() is the one consumer that indexes by dependence, so it
+    // validates every program before executing it.
+    Program prog{load(0, 4096), load(4096, 4096)};
+    prog[0].deps = {1};
+    Accelerator acc(CambriconQConfig::edge());
+    EXPECT_DEATH(acc.run(prog), "instr 0 depends on 1");
+}
+
+// ------------------------------------------ issue rule and the oracle
+
+/**
+ * A random program over every opcode (WGSTORE only with NDP) with
+ * random backward dependences. Each instruction picks its unit first,
+ * so all five units stay busy. Half the programs take tiny operands
+ * and few dependences (one in four instructions has one): every op
+ * then lasts a few ticks to a few tens, and many completions on
+ * different units fall on the same tick.
+ */
+Program
+randomProgram(Rng &rng, const CambriconQConfig &cfg, std::size_t n)
+{
+    using enum Opcode;
+    const std::vector<std::vector<Opcode>> byUnit = {
+        {VLOAD, SLOAD, QLOAD},
+        {VSTORE, SSTORE, QSTORE, QMOVE},
+        {MM, CONV, VMUL, VADD, VFMUL, HMUL},
+        {SFU},
+        cfg.ndpEnabled ? std::vector<Opcode>{CROSET, WGSTORE}
+                       : std::vector<Opcode>{CROSET}};
+    constexpr std::uint64_t kWindow = 1ull << 22;
+    const bool tiny = rng.below(2) == 0;
+    const std::uint64_t size = tiny ? 4 : 96;
+    const std::uint64_t elems = tiny ? 256 : 4096;
+    const std::uint64_t bytes = tiny ? 64 : 4096;
+    Program prog;
+    for (std::size_t i = 0; i < n; ++i) {
+        Instr ins;
+        const auto &ops = byUnit[rng.below(kNumUnits)];
+        ins.op = ops[rng.below(ops.size())];
+        ins.phase = static_cast<Phase>(rng.below(kNumPhases));
+        ins.buf = static_cast<BufId>(rng.below(4));
+        ins.addr = rng.below(kWindow);
+        ins.bytes = 1 + rng.below(bytes);
+        ins.addr2 = rng.below(kWindow);
+        ins.bytes2 = 1 + rng.below(bytes);
+        ins.elems = 1 + rng.below(elems);
+        ins.ways = static_cast<std::uint8_t>(1 + rng.below(4));
+        ins.m = static_cast<std::uint32_t>(1 + rng.below(size));
+        ins.n = static_cast<std::uint32_t>(1 + rng.below(size));
+        ins.k = static_cast<std::uint32_t>(1 + rng.below(size));
+        // 16, 8 or (on 4-bit PEs) 4 bits: the widths the energy
+        // model prices.
+        const std::uint64_t widths = cfg.peBits == 4 ? 3 : 2;
+        ins.bitsA = static_cast<std::uint8_t>(16 >> rng.below(widths));
+        ins.bitsB = static_cast<std::uint8_t>(16 >> rng.below(widths));
+        if (ins.op == SLOAD || ins.op == SSTORE) {
+            ins.elems = 1 + rng.below(16);
+            ins.bytes2 = rng.below(8192);
+        }
+        const std::uint64_t deps =
+            i == 0 ? 0 : rng.below(4) / (tiny ? 3 : 1);
+        for (std::uint64_t d = 0; d < deps; ++d) {
+            ins.deps.push_back(static_cast<std::uint32_t>(
+                i - 1 - rng.below(std::min<std::size_t>(i, 12))));
+        }
+        prog.push_back(std::move(ins));
+    }
+    return prog;
+}
+
+/** The three executor configurations the tests below cover. */
+std::vector<CambriconQConfig>
+executorConfigs()
+{
+    return {CambriconQConfig::edge(), CambriconQConfig::edgeNoNdp(),
+            baseline::tpuConfig()};
+}
+
+/** Codegen'd tiny CNN and MLP programs for @p cfg. */
+std::vector<Program>
+tinyPrograms(const CambriconQConfig &cfg)
+{
+    compiler::CodegenOptions opts;
+    if (cfg.name == baseline::tpuConfig().name)
+        opts.target = compiler::CodegenOptions::Target::Tpu;
+    return {compiler::generateProgram(compiler::buildTinyCnn(), cfg, opts),
+            compiler::generateProgram(compiler::buildTinyMlp(), cfg, opts)};
+}
+
+/** Every field of @p got equals @p want's, bit for bit. */
+::testing::AssertionResult
+sameReport(const PerfReport &got, const PerfReport &want)
+{
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    if (got.totalTicks != want.totalTicks) {
+        return ::testing::AssertionFailure()
+               << "totalTicks " << got.totalTicks << " vs "
+               << want.totalTicks;
+    }
+    for (std::size_t p = 0; p < kNumPhases; ++p) {
+        if (bits(got.phaseBusy[p]) != bits(want.phaseBusy[p]))
+            return ::testing::AssertionFailure() << "phaseBusy " << p;
+    }
+    for (std::size_t u = 0; u < kNumUnits; ++u) {
+        if (bits(got.unitBusy[u]) != bits(want.unitBusy[u]))
+            return ::testing::AssertionFailure() << "unitBusy " << u;
+    }
+    const auto &a = got.activity.all();
+    const auto &b = want.activity.all();
+    if (a.size() != b.size()) {
+        return ::testing::AssertionFailure()
+               << a.size() << " vs " << b.size() << " counters";
+    }
+    for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+        if (ia->first != ib->first || bits(ia->second) != bits(ib->second)) {
+            return ::testing::AssertionFailure()
+                   << ia->first << " " << ia->second << " vs "
+                   << ib->first << " " << ib->second;
+        }
+    }
+    if (bits(got.dramDynamicPj) != bits(want.dramDynamicPj) ||
+        bits(got.dramStandbyPj) != bits(want.dramStandbyPj))
+        return ::testing::AssertionFailure() << "DRAM energy";
+    if (got.trace.size() != want.trace.size()) {
+        return ::testing::AssertionFailure()
+               << got.trace.size() << " vs " << want.trace.size()
+               << " trace entries";
+    }
+    for (std::size_t i = 0; i < got.trace.size(); ++i) {
+        const TraceEntry &x = got.trace[i];
+        const TraceEntry &y = want.trace[i];
+        if (x.instr != y.instr || x.unit != y.unit || x.phase != y.phase ||
+            x.start != y.start || x.end != y.end)
+            return ::testing::AssertionFailure() << "trace entry " << i;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(AcceleratorDifferential, SlotExecutorMatchesEventQueueOracleBitwise)
+{
+    Rng rng(16);
+    std::size_t programs = 0;
+    std::size_t sameTickEnds = 0;
+    for (const CambriconQConfig &cfg : executorConfigs()) {
+        std::vector<Program> progs = tinyPrograms(cfg);
+        for (int r = 0; r < 100; ++r)
+            progs.push_back(randomProgram(rng, cfg, 1 + rng.below(400)));
+        for (const Program &prog : progs) {
+            const PerfReport got = Accelerator(cfg).run(prog, true);
+            const PerfReport want =
+                oracle::runEventQueueExecutor(cfg, prog, true);
+            ASSERT_TRUE(sameReport(got, want))
+                << cfg.name << " program " << programs;
+            ++programs;
+            // Completions on different units at one tick: the cases
+            // the (tick, issue order) tie-break decides.
+            std::vector<Tick> ends;
+            for (const TraceEntry &e : want.trace)
+                ends.push_back(e.end);
+            std::sort(ends.begin(), ends.end());
+            for (std::size_t i = 1; i < ends.size(); ++i)
+                sameTickEnds += ends[i] == ends[i - 1];
+        }
+    }
+    EXPECT_EQ(programs, 3u * 102u);
+    EXPECT_GT(sameTickEnds, 500u) << sameTickEnds;
+}
+
+/**
+ * The issue rule: an instruction starts when the last of its blockers
+ * completes -- the previous instruction on its unit and every
+ * dependence -- or at tick 0 when it has none.
+ */
+void
+expectIssueRule(const Program &prog, const PerfReport &r)
+{
+    ASSERT_EQ(r.trace.size(), prog.size());
+    std::vector<const TraceEntry *> entry(prog.size());
+    for (const TraceEntry &e : r.trace)
+        entry[e.instr] = &e;
+    // Each unit runs its instructions in program order.
+    std::array<Tick, kNumUnits> unitFree{};
+    for (std::uint32_t i = 0; i < prog.size(); ++i) {
+        Tick &free = unitFree[static_cast<std::size_t>(entry[i]->unit)];
+        Tick ready = free;
+        for (std::uint32_t d : prog[i].deps)
+            ready = std::max(ready, entry[d]->end);
+        EXPECT_EQ(entry[i]->start, ready) << "instr " << i;
+        free = entry[i]->end;
+    }
+}
+
+TEST(Accelerator, TraceStartsWhenLastBlockerCompletes)
+{
+    Rng rng(5);
+    for (const CambriconQConfig &cfg : executorConfigs()) {
+        SCOPED_TRACE(cfg.name);
+        for (const Program &net : tinyPrograms(cfg))
+            expectIssueRule(net, Accelerator(cfg).run(net, true));
+        for (int r = 0; r < 10; ++r) {
+            const Program prog = randomProgram(rng, cfg, 200);
+            expectIssueRule(prog, Accelerator(cfg).run(prog, true));
+        }
+    }
 }
 
 } // namespace
