@@ -29,6 +29,7 @@
 #include "dram/dram_controller.h"
 #include "harness/workload.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "obs/cpu_time.h"
 #include "quant/block_quant.h"
 #include "quant/e2bqm.h"
@@ -158,6 +159,61 @@ runQuant(const WorkloadContext &ctx)
 
 // ---------------- GEMM ----------------
 
+/**
+ * Forward, weight-gradient and input-gradient convolution rows at the
+ * four conv layers of the train_* Table VIII CNN stand-in (12x12
+ * one-channel images, 3x3 kernels, pad 1, a 2x2 pool after conv1),
+ * batch 32, on one thread. Also records the GEMM calls and MACs one
+ * pass over the three kernels of all four layers counts.
+ */
+void
+runConvRows(WorkloadResult &out, int iters)
+{
+    struct Layer
+    {
+        const char *name;
+        std::size_t c, k, hw;
+    };
+    const Layer layers[] = {{"conv1", 1, 8, 12},
+                            {"conv2", 8, 16, 6},
+                            {"conv3", 16, 16, 6},
+                            {"conv4", 16, 16, 6}};
+    const std::size_t batch = 32;
+    auto &registry = obs::MetricRegistry::instance();
+    const obs::Counter &calls = registry.counter("gemm.calls");
+    const obs::Counter &macs = registry.counter("gemm.macs");
+    ThreadPool::instance().setNumThreads(1);
+    double pass_calls = 0.0, pass_macs = 0.0;
+    for (const Layer &l : layers) {
+        const Conv2dGeometry g{l.c, l.k, 3, 3, 1, 1};
+        Rng rng(11);
+        Tensor x({batch, l.c, l.hw, l.hw}), w({l.c * 9, l.k}), bias({l.k});
+        Tensor dy({batch, l.k, l.hw, l.hw});
+        x.fillGaussian(rng, 0.0f, 1.0f);
+        w.fillGaussian(rng, 0.0f, 0.3f);
+        bias.fillGaussian(rng, 0.0f, 0.1f);
+        dy.fillGaussian(rng, 0.0f, 0.01f);
+        const std::pair<const char *, std::function<float()>> rows[] = {
+            {"fwd", [&] { return conv2dForward(x, w, &bias, g)[0]; }},
+            {"dw", [&] { return conv2dWeightGrad(x, dy, g)[0]; }},
+            {"dx", [&] { return conv2dInputGrad(dy, w, x.shape(), g)[0]; }},
+        };
+        for (const auto &[kernel, run] : rows) {
+            const double calls0 = calls.value(), macs0 = macs.value();
+            float sink = run();
+            pass_calls += calls.value() - calls0;
+            pass_macs += macs.value() - macs0;
+            const auto t = timeIt(iters, [&] { sink += run(); });
+            recordInterval(out, std::string("conv2d_") + l.name + "_" +
+                                    kernel,
+                           t);
+        }
+    }
+    ThreadPool::instance().setNumThreads(0);
+    out.set("conv2d_pass_gemm_calls", pass_calls);
+    out.set("conv2d_pass_gemm_macs", pass_macs);
+}
+
 WorkloadResult
 runGemm(const WorkloadContext &ctx)
 {
@@ -209,8 +265,10 @@ runGemm(const WorkloadContext &ctx)
     }
     ThreadPool::instance().setNumThreads(0);
     out.set("gemm_scaling_n", static_cast<double>(n));
+    runConvRows(out, ctx.quick ? 2 : 8);
     out.notes = "matmul over the shared pool; speedup is wall-clock "
-                "vs the 1-thread width";
+                "vs the 1-thread width; conv2d_* rows time the "
+                "implicit-GEMM convolution kernels at pool width 1";
     return out;
 }
 

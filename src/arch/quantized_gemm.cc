@@ -155,14 +155,17 @@ quantizedMatmul(const Tensor &a, const Tensor &b,
     abft::checkProduct(
         c, *options.abft,
         [&] {
-            std::vector<double> av(m * k), bv(k * n);
-            for (std::size_t i = 0; i < m; ++i)
-                for (std::size_t kk = 0; kk < k; ++kk)
-                    av[i * k + kk] = dequantAt(rows[i], kk, options.blockK);
+            std::vector<double> arow(k), bv(k * n);
             for (std::size_t kk = 0; kk < k; ++kk)
                 for (std::size_t j = 0; j < n; ++j)
                     bv[kk * n + j] = dequantAt(cols[j], kk, options.blockK);
-            return abft::predictChecksums(av.data(), bv.data(), m, k, n);
+            return abft::predictChecksums<double>(
+                [&](std::size_t i) {
+                    for (std::size_t kk = 0; kk < k; ++kk)
+                        arow[kk] = dequantAt(rows[i], kk, options.blockK);
+                    return static_cast<const double *>(arow.data());
+                },
+                bv.data(), m, k, n);
         },
         [&](Tensor &t, std::size_t i) {
             computeRow(rows, cols, t, i, k, options);

@@ -2,7 +2,7 @@
  * @file
  * Deterministic fork-join thread pool.
  *
- * The software model's hot kernels (GEMM, im2col/col2im, the E2BQM
+ * The software model's hot kernels (GEMM, convolution, the E2BQM
  * candidate sweep) are data-parallel over output rows or blocks. This
  * pool runs such loops on N threads with a *static* partition: the
  * index range is split into at most N contiguous chunks, chunk i always

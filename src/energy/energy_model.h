@@ -43,7 +43,11 @@ inline constexpr PicoJoule kInt4Add = 0.015;
  *  paper's ranges), pJ. */
 PicoJoule dramAccess(int bits);
 
-/** Fixed-point add/mul energy for a 4/8/16/32-bit operand. */
+/**
+ * Fixed-point add/mul energy for a 4/8/16/32-bit operand; 12 bits
+ * (and, for adds, the 24-bit accumulator of a 12-bit MAC) sit midway
+ * between the neighbouring widths.
+ */
 PicoJoule intAdd(int bits);
 PicoJoule intMul(int bits);
 

@@ -33,65 +33,34 @@ Conv2d::forward(const Tensor &input)
     CQ_ASSERT_MSG(input.ndim() == 4 && input.dim(1) == geom_.inChannels,
                   "%s: bad input shape %s", name_.c_str(),
                   shapeToString(input.shape()).c_str());
-    const std::size_t n = input.dim(0);
-    const std::size_t p = geom_.outH(input.dim(2));
-    const std::size_t q = geom_.outW(input.dim(3));
-
-    cachedInputShape_ = input.shape();
-    cachedCols_ = im2col(input, geom_);
-
-    // (N*P*Q, CRS) x (CRS, K) -> (N*P*Q, K)
-    Tensor flat = matmul(cachedCols_, weight_.value);
-    if (hasBias_) {
-        for (std::size_t r = 0; r < flat.dim(0); ++r)
-            for (std::size_t k = 0; k < geom_.outChannels; ++k)
-                flat.at2(r, k) += bias_.value[k];
-    }
-
-    // Rearrange (N*P*Q, K) -> (N, K, P, Q).
-    Tensor out({n, geom_.outChannels, p, q});
-    for (std::size_t in = 0; in < n; ++in)
-        for (std::size_t oy = 0; oy < p; ++oy)
-            for (std::size_t ox = 0; ox < q; ++ox) {
-                const std::size_t row = (in * p + oy) * q + ox;
-                for (std::size_t k = 0; k < geom_.outChannels; ++k)
-                    out.at4(in, k, oy, ox) = flat.at2(row, k);
-            }
-    return out;
+    cachedInput_ = input;
+    return conv2dForward(input, weight_.value,
+                         hasBias_ ? &bias_.value : nullptr, geom_);
 }
 
 Tensor
 Conv2d::backward(const Tensor &grad_output)
 {
     CQ_ASSERT(grad_output.ndim() == 4);
-    CQ_ASSERT(cachedCols_.numel() > 0);
-    const std::size_t n = grad_output.dim(0);
-    const std::size_t k = grad_output.dim(1);
-    const std::size_t p = grad_output.dim(2);
-    const std::size_t q = grad_output.dim(3);
-    CQ_ASSERT(k == geom_.outChannels);
+    CQ_ASSERT(cachedInput_.numel() > 0);
+    CQ_ASSERT(grad_output.dim(1) == geom_.outChannels);
 
-    // Flatten dY to (N*P*Q, K) matching the forward layout.
-    Tensor flat({n * p * q, k});
-    for (std::size_t in = 0; in < n; ++in)
-        for (std::size_t oy = 0; oy < p; ++oy)
-            for (std::size_t ox = 0; ox < q; ++ox) {
-                const std::size_t row = (in * p + oy) * q + ox;
-                for (std::size_t kk = 0; kk < k; ++kk)
-                    flat.at2(row, kk) = grad_output.at4(in, kk, oy, ox);
-            }
-
-    // dW = cols^T * dY ; dBias = column sums of dY.
-    accumulate(weight_.grad, matmulTransA(cachedCols_, flat));
+    accumulate(weight_.grad,
+               conv2dWeightGrad(cachedInput_, grad_output, geom_));
+    // dBias = dY summed per channel over (image, oy, ox) in order.
     if (hasBias_) {
-        for (std::size_t r = 0; r < flat.dim(0); ++r)
-            for (std::size_t kk = 0; kk < k; ++kk)
-                bias_.grad[kk] += flat.at2(r, kk);
+        const std::size_t n = grad_output.dim(0), k = grad_output.dim(1);
+        const std::size_t pixels = grad_output.dim(2) * grad_output.dim(3);
+        for (std::size_t kk = 0; kk < k; ++kk)
+            for (std::size_t in = 0; in < n; ++in) {
+                const float *plane =
+                    grad_output.data() + (in * k + kk) * pixels;
+                for (std::size_t px = 0; px < pixels; ++px)
+                    bias_.grad[kk] += plane[px];
+            }
     }
-
-    // dX = col2im(dY * W^T).
-    Tensor dcols = matmulTransB(flat, weight_.value);
-    return col2im(dcols, cachedInputShape_, geom_);
+    return conv2dInputGrad(grad_output, weight_.value, cachedInput_.shape(),
+                           geom_);
 }
 
 std::vector<Param *>

@@ -1,6 +1,6 @@
 /**
  * @file
- * 2-d convolution layer (im2col + GEMM lowering).
+ * 2-d convolution layer (implicit-GEMM lowering).
  */
 
 #ifndef CQ_NN_CONV2D_H
@@ -13,10 +13,13 @@
 namespace cq::nn {
 
 /**
- * Convolution over NCHW inputs. The forward/backward implementation
- * lowers to GEMM via im2col/col2im, which is exactly the lowering the
- * compiler uses when emitting CONV for the PE array, so this layer
- * doubles as the functional reference for that instruction.
+ * Convolution over NCHW inputs. Forward and backward run the
+ * implicit-GEMM kernels conv2dForward / conv2dWeightGrad /
+ * conv2dInputGrad: patch tiles are packed straight from the input
+ * into the GEMM, as the PE array's CONV instruction reads input tiles,
+ * and no (N*P*Q, C*R*S) patch matrix is ever built. The layer caches
+ * its input (C*H*W per image) for the weight gradient, and doubles as
+ * the functional reference for the CONV instruction.
  */
 class Conv2d : public Layer
 {
@@ -39,8 +42,7 @@ class Conv2d : public Layer
     /** Stored as (C*R*S, K) so forward is cols x weight. */
     Param weight_;
     Param bias_;
-    Tensor cachedCols_;
-    Shape cachedInputShape_;
+    Tensor cachedInput_;
 };
 
 } // namespace cq::nn

@@ -78,11 +78,10 @@ verifyChecksums(const Tensor &c, const Checksums &expected,
 
 template <class T>
 Checksums
-predictChecksums(const T *a, const T *b, std::size_t m, std::size_t k,
-                 std::size_t n)
+predictChecksums(const std::function<const T *(std::size_t)> &a_row,
+                 const T *b, std::size_t m, std::size_t k, std::size_t n)
 {
-    // Row-sum vector of B, column-sum vector of A, and their
-    // absolute-value companions.
+    // Row-sum vector of B and its absolute-value companion.
     std::vector<double> b_rowsum(k, 0.0), b_abssum(k, 0.0);
     for (std::size_t kk = 0; kk < k; ++kk) {
         for (std::size_t j = 0; j < n; ++j) {
@@ -90,22 +89,21 @@ predictChecksums(const T *a, const T *b, std::size_t m, std::size_t k,
             b_abssum[kk] += std::fabs(b[kk * n + j]);
         }
     }
-    std::vector<double> a_colsum(k, 0.0), a_abssum(k, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            a_colsum[kk] += a[i * k + kk];
-            a_abssum[kk] += std::fabs(a[i * k + kk]);
-        }
-    }
 
     Checksums out;
     out.k = k;
-    // Row i: sum_j C[i][j] = sum_k A[i][k] * rowsum(B)[k].
+    // One pass over A's rows: the column-sum vector of A (and its
+    // absolute-value companion) and each row's checksum,
+    // sum_j C[i][j] = sum_k A[i][k] * rowsum(B)[k].
+    std::vector<double> a_colsum(k, 0.0), a_abssum(k, 0.0);
     out.rowSum.assign(m, 0.0);
     out.rowBound.assign(m, 0.0);
     for (std::size_t i = 0; i < m; ++i) {
+        const T *row = a_row(i);
         for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = a[i * k + kk];
+            const double v = row[kk];
+            a_colsum[kk] += v;
+            a_abssum[kk] += std::fabs(v);
             out.rowSum[i] += v * b_rowsum[kk];
             out.rowBound[i] += std::fabs(v) * b_abssum[kk];
         }
@@ -123,12 +121,12 @@ predictChecksums(const T *a, const T *b, std::size_t m, std::size_t k,
     return out;
 }
 
-template Checksums predictChecksums<float>(const float *, const float *,
-                                           std::size_t, std::size_t,
-                                           std::size_t);
-template Checksums predictChecksums<double>(const double *,
-                                            const double *, std::size_t,
-                                            std::size_t, std::size_t);
+template Checksums predictChecksums<float>(
+    const std::function<const float *(std::size_t)> &, const float *,
+    std::size_t, std::size_t, std::size_t);
+template Checksums predictChecksums<double>(
+    const std::function<const double *(std::size_t)> &, const double *,
+    std::size_t, std::size_t, std::size_t);
 
 double
 abftAutoRelTol(std::size_t k)
@@ -226,8 +224,10 @@ abftMatmul(const Tensor &a, const Tensor &b, const AbftConfig &config,
     checkProduct(
         c, config,
         [&] {
-            return predictChecksums(a.data(), b.data(), a.dim(0),
-                                    a.dim(1), b.dim(1));
+            const std::size_t k = a.dim(1);
+            return predictChecksums<float>(
+                [&](std::size_t i) { return a.data() + i * k; }, b.data(),
+                a.dim(0), k, b.dim(1));
         },
         [&](Tensor &t, std::size_t i) { matmulRows(a, b, t, i, i + 1); },
         report);

@@ -34,9 +34,10 @@
  *  - AbftScope: a thread-local RAII scope that reroutes every
  *    cq::matmul() issued inside it (e.g. the nn layers' forward
  *    GEMMs during a trainer step) through abftMatmul() with the
- *    scope's config. cq::matmulTransA()/matmulTransB(), which the
- *    layers' backward passes use, are not rerouted and run
- *    unchecked.
+ *    scope's config; cq::conv2dForward() checks its implicit-GEMM
+ *    product the same way. cq::matmulTransA()/matmulTransB() and the
+ *    convolution gradient kernels, which the layers' backward passes
+ *    use, are not rerouted and run unchecked.
  *  - checkProduct(): the verify/retry/escalate ladder itself, shared
  *    by abftMatmul() and the quantized datapath
  *    (arch::quantizedMatmul), which predicts its checksums from its
@@ -120,12 +121,15 @@ struct Checksums
 };
 
 /**
- * Checksums of C = A(m x k) * B(k x n) from row-major operand values,
- * accumulated in double. T is float or double.
+ * Checksums of C = A(m x k) * B(k x n), accumulated in double, with
+ * B row-major and A read one row at a time: @p a_row(i) returns row i
+ * (k values), valid until the next call. Rows are visited in
+ * ascending order, each once. T is float or double.
  */
 template <class T>
-Checksums predictChecksums(const T *a, const T *b, std::size_t m,
-                           std::size_t k, std::size_t n);
+Checksums predictChecksums(const std::function<const T *(std::size_t)> &a_row,
+                           const T *b, std::size_t m, std::size_t k,
+                           std::size_t n);
 
 /**
  * The retry-then-degrade ladder for a freshly computed product @p c.
@@ -153,8 +157,10 @@ Tensor abftMatmul(const Tensor &a, const Tensor &b,
 
 /**
  * While alive on a thread, every cq::matmul() on that thread runs
- * through abftMatmul() with this scope's config; matmulTransA() and
- * matmulTransB() are not covered. Scopes nest (the innermost wins);
+ * through abftMatmul() with this scope's config, and every
+ * cq::conv2dForward() checks its product the same way; matmulTransA(),
+ * matmulTransB() and the convolution gradient kernels are not
+ * covered. Scopes nest (the innermost wins);
  * the checksum pass itself runs scope-suspended, so there is no
  * recursion.
  */

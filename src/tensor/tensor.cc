@@ -62,36 +62,6 @@ Tensor::dim(std::size_t i) const
     return shape_[i];
 }
 
-float &
-Tensor::at2(std::size_t r, std::size_t c)
-{
-    CQ_ASSERT(ndim() == 2 && r < shape_[0] && c < shape_[1]);
-    return data_[r * shape_[1] + c];
-}
-
-float
-Tensor::at2(std::size_t r, std::size_t c) const
-{
-    CQ_ASSERT(ndim() == 2 && r < shape_[0] && c < shape_[1]);
-    return data_[r * shape_[1] + c];
-}
-
-float &
-Tensor::at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w)
-{
-    CQ_ASSERT(ndim() == 4);
-    CQ_ASSERT(n < shape_[0] && c < shape_[1] && h < shape_[2] &&
-              w < shape_[3]);
-    return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-float
-Tensor::at4(std::size_t n, std::size_t c, std::size_t h,
-            std::size_t w) const
-{
-    return const_cast<Tensor *>(this)->at4(n, c, h, w);
-}
-
 Tensor &
 Tensor::reshape(Shape shape)
 {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 
 namespace cq {
@@ -68,13 +69,25 @@ class Tensor
     float operator[](std::size_t i) const { return data_[i]; }
 
     /** 2-d access for matrices: element (row, col). */
-    float &at2(std::size_t r, std::size_t c);
-    float at2(std::size_t r, std::size_t c) const;
+    float &at2(std::size_t r, std::size_t c)
+    {
+        return data_[index2(r, c)];
+    }
+    float at2(std::size_t r, std::size_t c) const
+    {
+        return data_[index2(r, c)];
+    }
 
     /** 4-d access (n, c, h, w) for image tensors. */
-    float &at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w);
+    float &at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w)
+    {
+        return data_[index4(n, c, h, w)];
+    }
     float at4(std::size_t n, std::size_t c, std::size_t h,
-              std::size_t w) const;
+              std::size_t w) const
+    {
+        return data_[index4(n, c, h, w)];
+    }
 
     /** Change the shape without touching data; numel must match. */
     Tensor &reshape(Shape shape);
@@ -106,6 +119,23 @@ class Tensor
     bool operator==(const Tensor &other) const;
 
   private:
+    /** Bounds-checked linear index of element (r, c). */
+    std::size_t index2(std::size_t r, std::size_t c) const
+    {
+        CQ_ASSERT(ndim() == 2 && r < shape_[0] && c < shape_[1]);
+        return r * shape_[1] + c;
+    }
+
+    /** Bounds-checked linear index of element (n, c, h, w). */
+    std::size_t index4(std::size_t n, std::size_t c, std::size_t h,
+                       std::size_t w) const
+    {
+        CQ_ASSERT(ndim() == 4);
+        CQ_ASSERT(n < shape_[0] && c < shape_[1] && h < shape_[2] &&
+                  w < shape_[3]);
+        return ((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
+    }
+
     Shape shape_;
     std::vector<float> data_;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Free-function operations on tensors: BLAS-like kernels, convolution
- * lowering helpers and reductions used by the NN framework and the
+ * Free-function operations on tensors: BLAS-like kernels, implicit-GEMM
+ * convolution and reductions used by the NN framework and the
  * accelerator functional model.
  */
 
@@ -13,6 +13,10 @@
 #include "tensor/tensor.h"
 
 namespace cq {
+
+namespace abft {
+struct AbftReport;
+} // namespace abft
 
 /** c = a + b (elementwise; shapes must match). */
 Tensor add(const Tensor &a, const Tensor &b);
@@ -76,19 +80,39 @@ struct Conv2dGeometry
 };
 
 /**
- * im2col: unfold convolution input patches into a matrix of shape
- * (N*P*Q, C*R*S) so convolution becomes matmul with the (C*R*S, K)
- * reshaped kernel. This mirrors how the compiler lowers CONV onto the
- * PE array.
+ * Convolution as implicit GEMM. The three kernels below multiply the
+ * (N*P*Q, C*R*S) patch matrix of an NCHW input without materializing
+ * it: they pack patch rows (or one tap's values) into small tiles and
+ * run the one float GEMM kernel on them, so each result is bitwise
+ * what GEMMs on the explicit patch matrix compute (DESIGN.md §4.4),
+ * at any thread count. The weight is the (C*R*S, K)
+ * matrix whose row (c, ky, kx) holds the K filters' taps.
  */
-Tensor im2col(const Tensor &input, const Conv2dGeometry &g);
 
 /**
- * col2im: inverse scatter-add of im2col, used by the convolution
- * backward pass to form input gradients.
+ * y = conv(x, weight) + bias: input (N, C, H, W) -> output (N, K, P,
+ * Q). @p bias (K elements) may be nullptr. Inside an
+ * abft::AbftScope the (N*P*Q, K) product is checksum-verified as
+ * abftMatmul() verifies it, before the bias is added; @p report
+ * (when non-null) then receives what the check did.
  */
-Tensor col2im(const Tensor &cols, const Shape &inputShape,
-              const Conv2dGeometry &g);
+Tensor conv2dForward(const Tensor &input, const Tensor &weight,
+                     const Tensor *bias, const Conv2dGeometry &g,
+                     abft::AbftReport *report = nullptr);
+
+/**
+ * dW = patches(input)^T * dY: the (C*R*S, K) weight gradient from the
+ * forward input and the (N, K, P, Q) output gradient.
+ */
+Tensor conv2dWeightGrad(const Tensor &input, const Tensor &grad_output,
+                        const Conv2dGeometry &g);
+
+/**
+ * dX: the (N, C, H, W) input gradient of an input of shape
+ * @p input_shape, i.e. the patch-wise scatter-add of dY * weight^T.
+ */
+Tensor conv2dInputGrad(const Tensor &grad_output, const Tensor &weight,
+                       const Shape &input_shape, const Conv2dGeometry &g);
 
 /** Rectilinear (L1) distance between two equal-shape tensors. */
 double rectilinearDistance(const Tensor &a, const Tensor &b);

@@ -454,6 +454,21 @@ TEST(Accelerator, EnergyBreakdownPopulated)
     EXPECT_GT(r.energy.ddrStandbyPj, 0.0);
 }
 
+TEST(Accelerator, TwelveBitGemmIsPriced)
+{
+    // A 12-bit MAC accumulates at 24 bits, which the energy model
+    // prices between its int16 and int32 adders.
+    Accelerator acc(CambriconQConfig::edge());
+    Instr mm;
+    mm.op = Opcode::MM;
+    mm.m = mm.n = mm.k = 64;
+    mm.bitsA = mm.bitsB = 12;
+    Program prog{load(0, 1 << 16), mm};
+    const PerfReport r = acc.run(prog);
+    EXPECT_EQ(r.activity.get("pe.macs.int12"), 64.0 * 64.0 * 64.0);
+    EXPECT_GT(r.energy.accPj, 0.0);
+}
+
 TEST(Accelerator, DeterministicAcrossRuns)
 {
     Instr mm;
@@ -646,11 +661,12 @@ randomProgram(Rng &rng, const CambriconQConfig &cfg, std::size_t n)
         ins.m = static_cast<std::uint32_t>(1 + rng.below(size));
         ins.n = static_cast<std::uint32_t>(1 + rng.below(size));
         ins.k = static_cast<std::uint32_t>(1 + rng.below(size));
-        // 16, 8 or (on 4-bit PEs) 4 bits: the widths the energy
-        // model prices.
-        const std::uint64_t widths = cfg.peBits == 4 ? 3 : 2;
-        ins.bitsA = static_cast<std::uint8_t>(16 >> rng.below(widths));
-        ins.bitsB = static_cast<std::uint8_t>(16 >> rng.below(widths));
+        // 16, 8 or (on 4-bit PEs) 12 or 4 bits: the operand widths
+        // that are whole multiples of the PE width.
+        static constexpr std::uint8_t kWidths[] = {16, 8, 12, 4};
+        const std::uint64_t widths = cfg.peBits == 4 ? 4 : 2;
+        ins.bitsA = kWidths[rng.below(widths)];
+        ins.bitsB = kWidths[rng.below(widths)];
         if (ins.op == SLOAD || ins.op == SSTORE) {
             ins.elems = 1 + rng.below(16);
             ins.bytes2 = rng.below(8192);

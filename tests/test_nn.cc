@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "common/rng.h"
+#include "conv_im2col_oracle.h"
 #include "nn/activation.h"
 #include "nn/attention.h"
 #include "nn/batchnorm.h"
@@ -26,6 +30,7 @@
 #include "nn/residual.h"
 #include "nn/quant_trainer.h"
 #include "nn/softmax.h"
+#include "tensor/abft.h"
 #include "tensor/tensor_ops.h"
 
 namespace cq::nn {
@@ -402,6 +407,164 @@ TEST(Layers, ConvShapePadStride)
     Conv2d layer("conv", Conv2dGeometry{3, 16, 5, 5, 2, 2}, rng);
     EXPECT_EQ(layer.forward(randomTensor({2, 3, 32, 32}, 23)).shape(),
               (Shape{2, 16, 16, 16}));
+}
+
+// ------------------------------------------ implicit-GEMM convolution
+
+/** Same shape and the same bits in every element (-0 differs from 0). */
+::testing::AssertionResult
+sameBits(const Tensor &got, const Tensor &want)
+{
+    if (got.shape() != want.shape()) {
+        return ::testing::AssertionFailure()
+               << shapeToString(got.shape()) << " vs "
+               << shapeToString(want.shape());
+    }
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+        if (std::bit_cast<std::uint32_t>(got[i]) !=
+            std::bit_cast<std::uint32_t>(want[i])) {
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": " << got[i] << " vs "
+                   << want[i];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Gaussian values with about a fifth set to +0 or -0. */
+Tensor
+withZeros(Shape shape, Rng &rng)
+{
+    Tensor t(std::move(shape));
+    t.fillGaussian(rng, 0.0f, 1.0f);
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+        const std::uint64_t draw = rng.below(10);
+        if (draw == 0)
+            t[i] = 0.0f;
+        else if (draw == 1)
+            t[i] = -0.0f;
+    }
+    return t;
+}
+
+TEST(Conv2dImplicit, MatchesIm2colOracleBitwise)
+{
+    struct Kernel
+    {
+        std::size_t r, s;
+    };
+    struct Image
+    {
+        std::size_t n, h, w;
+    };
+    // H != W, sizes that leave ragged edges at stride 2, one image,
+    // and a batch whose forward tiles straddle image boundaries.
+    const Image images[] = {{1, 7, 5}, {2, 6, 9}, {3, 12, 11}};
+    const Kernel kernels[] = {{1, 1}, {3, 3}, {5, 5}, {3, 1}};
+    Rng rng(41);
+    int geometries = 0;
+    for (const Image &im : images)
+        for (std::size_t c : {1, 3})
+            for (const Kernel &kern : kernels)
+                for (std::size_t stride : {1, 2})
+                    for (std::size_t pad : {0, 1, 2}) {
+        const Conv2dGeometry g{c, 1 + c % 4 + stride, kern.r, kern.s,
+                               stride, pad};
+        if (im.h + 2 * pad < g.kernelH || im.w + 2 * pad < g.kernelW)
+            continue;
+        SCOPED_TRACE(testing::Message()
+                     << "n" << im.n << " c" << c << " " << im.h << "x"
+                     << im.w << " k" << kern.r << "x" << kern.s << " s"
+                     << stride << " p" << pad);
+        ++geometries;
+        Conv2d layer("conv", g, rng);
+        Param &weight = layer.weight();
+        Param &bias = *layer.params()[1];
+        bias.value.fillGaussian(rng, 0.0f, 1.0f);
+        weight.grad.fillGaussian(rng, 0.0f, 1.0f);
+        bias.grad.fillGaussian(rng, 0.0f, 1.0f);
+        const Tensor w_grad0 = weight.grad;
+        const Tensor b_grad0 = bias.grad;
+
+        const Tensor x = withZeros({im.n, c, im.h, im.w}, rng);
+        const Tensor y = layer.forward(x);
+        ASSERT_TRUE(sameBits(
+            y, oracle::convForward(x, weight.value, &bias.value, g)));
+        EXPECT_TRUE(sameBits(
+            conv2dForward(x, weight.value, nullptr, g),
+            oracle::convForward(x, weight.value, nullptr, g)));
+
+        const Tensor dy = withZeros(y.shape(), rng);
+        const Tensor dx = layer.backward(dy);
+        const oracle::ConvGrads want =
+            oracle::convBackward(x, dy, weight.value, g, b_grad0);
+        EXPECT_TRUE(sameBits(conv2dWeightGrad(x, dy, g), want.dw));
+        Tensor w_grad = w_grad0;
+        accumulate(w_grad, want.dw);
+        EXPECT_TRUE(sameBits(weight.grad, w_grad));
+        EXPECT_TRUE(sameBits(bias.grad, want.dbias));
+        EXPECT_TRUE(sameBits(dx, want.dx));
+    }
+    EXPECT_GT(geometries, 100);
+}
+
+TEST(Conv2dImplicit, AbftMatchesOracle)
+{
+    Rng rng(42);
+    const Conv2dGeometry g{3, 5, 3, 3, 2, 1};
+    const Tensor x = withZeros({2, 3, 11, 9}, rng);
+    Tensor weight({27, 5}), bias({5});
+    weight.fillGaussian(rng, 0.0f, 1.0f);
+    bias.fillGaussian(rng, 0.0f, 1.0f);
+    const std::size_t p = g.outH(11), q = g.outW(9);
+
+    // A fault model flips one accumulator per call: only on the first
+    // pass (transient, repaired), on every pass (stuck-at, escalated),
+    // or never.
+    enum class Fault { None, Transient, Persistent };
+    for (Fault fault : {Fault::None, Fault::Transient, Fault::Persistent}) {
+        SCOPED_TRACE(static_cast<int>(fault));
+        struct Arm
+        {
+            StatGroup stats;
+            abft::AbftConfig cfg;
+            abft::AbftReport report;
+            int calls = 0;
+        } oracle_arm, kernel_arm;
+        for (Arm *arm : {&oracle_arm, &kernel_arm}) {
+            arm->cfg.stats = &arm->stats;
+            arm->cfg.corruptOutput = [arm, fault](Tensor &c) {
+                const int call = arm->calls++;
+                if (fault == Fault::None ||
+                    (fault == Fault::Transient && call > 0))
+                    return;
+                float &v = c[(7 + 13 * call) % c.numel()];
+                v = std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) ^
+                                         (1u << 29));
+            };
+        }
+        const Tensor want = oracle::rowsToNchw(
+            abft::abftMatmul(oracle::im2col(x, g), weight, oracle_arm.cfg,
+                             &oracle_arm.report),
+            &bias, 2, p, q);
+        Tensor got;
+        {
+            abft::AbftScope scope(kernel_arm.cfg);
+            got = conv2dForward(x, weight, &bias, g, &kernel_arm.report);
+        }
+        EXPECT_TRUE(sameBits(got, want));
+        const abft::AbftReport &a = kernel_arm.report;
+        const abft::AbftReport &b = oracle_arm.report;
+        EXPECT_EQ(a.suspectRows, b.suspectRows);
+        EXPECT_EQ(a.suspectCols, b.suspectCols);
+        EXPECT_EQ(a.retries, b.retries);
+        EXPECT_EQ(a.corrected, b.corrected);
+        EXPECT_EQ(a.escalated, b.escalated);
+        EXPECT_EQ(kernel_arm.calls, oracle_arm.calls);
+        EXPECT_EQ(kernel_arm.stats.dump(), oracle_arm.stats.dump());
+        EXPECT_EQ(b.corrected, fault == Fault::Transient);
+        EXPECT_EQ(b.escalated, fault == Fault::Persistent);
+    }
 }
 
 TEST(Layers, LstmShape)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the tensor library: shapes, ops, GEMM variants,
- * im2col/col2im and distance metrics.
+ * implicit-GEMM convolution and distance metrics.
  */
 
 #include <gtest/gtest.h>
@@ -156,48 +156,63 @@ TEST(TensorOps, Conv2dGeometryDims)
     EXPECT_EQ(s.outH(7), 3u);
 }
 
-TEST(TensorOps, Im2colIdentityKernel)
+TEST(TensorOps, Conv2dOneByOneIdentity)
 {
-    // 1x1 kernel im2col is just a reshape.
+    // A 1x1 convolution with the identity weight is a reshape: every
+    // output pixel is the input pixel.
     Rng rng(7);
-    Tensor x({2, 3, 4, 4});
+    Tensor x({2, 3, 4, 5});
     x.fillGaussian(rng, 0.0f, 1.0f);
-    Conv2dGeometry g{3, 1, 1, 1, 1, 0};
-    const Tensor cols = im2col(x, g);
-    EXPECT_EQ(cols.dim(0), 2u * 4 * 4);
-    EXPECT_EQ(cols.dim(1), 3u);
-    // Element (n=0, oy=1, ox=2, c=1) equals x(0, 1, 1, 2).
-    EXPECT_FLOAT_EQ(cols.at2((0 * 4 + 1) * 4 + 2, 1), x.at4(0, 1, 1, 2));
+    Conv2dGeometry g{3, 3, 1, 1, 1, 0};
+    Tensor eye({3, 3});
+    for (std::size_t i = 0; i < 3; ++i)
+        eye.at2(i, i) = 1.0f;
+    const Tensor y = conv2dForward(x, eye, nullptr, g);
+    EXPECT_TRUE(y == x);
+    EXPECT_FLOAT_EQ(y.at4(1, 1, 2, 3), x.at4(1, 1, 2, 3));
 }
 
-TEST(TensorOps, Im2colPaddingZeros)
+TEST(TensorOps, Conv2dPaddingContributesZero)
 {
     Tensor x({1, 1, 2, 2}, 1.0f);
     Conv2dGeometry g{1, 1, 3, 3, 1, 1};
-    const Tensor cols = im2col(x, g);
-    // Top-left output patch: corners outside the image are zero.
-    EXPECT_FLOAT_EQ(cols.at2(0, 0), 0.0f); // (-1,-1)
-    EXPECT_FLOAT_EQ(cols.at2(0, 4), 1.0f); // (0,0)
+    const Tensor ones({9, 1}, 1.0f);
+    const Tensor y = conv2dForward(x, ones, nullptr, g);
+    // Every 3x3 window covers the whole 2x2 image; the other five taps
+    // read padding.
+    for (std::size_t i = 0; i < y.numel(); ++i)
+        EXPECT_FLOAT_EQ(y[i], 4.0f);
+    // Only the taps over the image carry a gradient to the weight.
+    const Tensor dw = conv2dWeightGrad(x, Tensor({1, 1, 2, 2}, 1.0f), g);
+    EXPECT_FLOAT_EQ(dw.at2(0, 0), 1.0f); // (-1, -1): one window
+    EXPECT_FLOAT_EQ(dw.at2(4, 0), 4.0f); // centre: every window
 }
 
-TEST(TensorOps, Col2imAdjointOfIm2col)
+TEST(TensorOps, Conv2dGradientsAreAdjoint)
 {
-    // <im2col(x), y> == <x, col2im(y)> (adjoint property).
+    // <conv(x, W), y> == <x, dX(y, W)> == <W, dW(x, y)>: the input and
+    // weight gradients are the adjoints of the forward map.
     Rng rng(8);
-    Tensor x({2, 3, 6, 6});
+    Tensor x({2, 3, 6, 7});
     x.fillGaussian(rng, 0.0f, 1.0f);
     Conv2dGeometry g{3, 4, 3, 3, 2, 1};
-    const Tensor cols = im2col(x, g);
-    Tensor y(cols.shape());
+    Tensor w({27, 4});
+    w.fillGaussian(rng, 0.0f, 1.0f);
+    const Tensor fwd = conv2dForward(x, w, nullptr, g);
+    Tensor y(fwd.shape());
     y.fillGaussian(rng, 0.0f, 1.0f);
-    const Tensor back = col2im(y, x.shape(), g);
+    const Tensor dx = conv2dInputGrad(y, w, x.shape(), g);
+    const Tensor dw = conv2dWeightGrad(x, y, g);
 
-    double lhs = 0.0, rhs = 0.0;
-    for (std::size_t i = 0; i < cols.numel(); ++i)
-        lhs += static_cast<double>(cols[i]) * y[i];
-    for (std::size_t i = 0; i < x.numel(); ++i)
-        rhs += static_cast<double>(x[i]) * back[i];
-    EXPECT_NEAR(lhs, rhs, 1e-2);
+    const auto dot = [](const Tensor &a, const Tensor &b) {
+        double s = 0.0;
+        for (std::size_t i = 0; i < a.numel(); ++i)
+            s += static_cast<double>(a[i]) * b[i];
+        return s;
+    };
+    const double lhs = dot(fwd, y);
+    EXPECT_NEAR(lhs, dot(x, dx), 1e-3);
+    EXPECT_NEAR(lhs, dot(w, dw), 1e-3);
 }
 
 TEST(TensorOps, Distances)
@@ -250,15 +265,20 @@ TEST(TensorOpsDeath, TransposeAndConvShapeChecks)
     g.kernelH = g.kernelW = 3;
     g.stride = 1;
     g.pad = 1;
+    const Tensor w({27, 4});
     Tensor notNchw({2, 3, 8});
-    EXPECT_DEATH(im2col(notNchw, g), "im2col: expects NCHW");
+    EXPECT_DEATH(conv2dForward(notNchw, w, nullptr, g),
+                 "conv2dForward: expects NCHW");
     Tensor wrongChannels({1, 2, 8, 8});
-    EXPECT_DEATH(im2col(wrongChannels, g),
+    EXPECT_DEATH(conv2dWeightGrad(wrongChannels, Tensor({1, 4, 8, 8}), g),
                  "has 2 channels, geometry wants 3");
-    Tensor cols({5, 5});
-    EXPECT_DEATH(col2im(cols, {1, 3, 8, 8}, g),
-                 "col2im: cols \\[5, 5\\] incompatible with input "
-                 "\\[1, 3, 8, 8\\]");
+    EXPECT_DEATH(conv2dForward(Tensor({1, 3, 8, 8}), Tensor({9, 4}),
+                               nullptr, g),
+                 "conv2dForward: weight \\[9, 4\\], want \\[27, 4\\]");
+    Tensor dy({5, 5});
+    EXPECT_DEATH(conv2dInputGrad(dy, w, {1, 3, 8, 8}, g),
+                 "conv2dInputGrad: grad_output \\[5, 5\\], want "
+                 "\\[1, 4, 8, 8\\]");
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Tests of the deterministic thread pool: the parallelFor contract
  * (coverage, disjointness, grain, nesting, exceptions) and the
  * bitwise 1-vs-N-thread determinism guarantee of every parallelized
- * kernel (GEMM variants, elementwise ops, im2col/col2im, E2BQM/HQT,
+ * kernel (GEMM variants, elementwise ops, convolution, E2BQM/HQT,
  * and the functional quantized GEMM).
  */
 
@@ -316,7 +316,7 @@ TEST(Determinism, ElementwiseBitwiseIdentical)
     });
 }
 
-TEST(Determinism, Im2colCol2imBitwiseIdentical)
+TEST(Determinism, Conv2dKernelsBitwiseIdentical)
 {
     Rng rng(25);
     Conv2dGeometry g;
@@ -325,13 +325,17 @@ TEST(Determinism, Im2colCol2imBitwiseIdentical)
     g.kernelH = g.kernelW = 3;
     g.stride = 1;
     g.pad = 1;
-    Tensor x({2, 3, 17, 19});
+    Tensor x({4, 3, 17, 19}), w({27, 4}), bias({4}), dy({4, 4, 17, 19});
     x.fillGaussian(rng, 0.0f, 1.0f);
-    expectBitwiseEqualAcrossThreads([&] { return im2col(x, g); });
-
-    const Tensor cols = im2col(x, g);
+    w.fillGaussian(rng, 0.0f, 1.0f);
+    bias.fillGaussian(rng, 0.0f, 1.0f);
+    dy.fillGaussian(rng, 0.0f, 1.0f);
     expectBitwiseEqualAcrossThreads(
-        [&] { return col2im(cols, x.shape(), g); });
+        [&] { return conv2dForward(x, w, &bias, g); });
+    expectBitwiseEqualAcrossThreads(
+        [&] { return conv2dWeightGrad(x, dy, g); });
+    expectBitwiseEqualAcrossThreads(
+        [&] { return conv2dInputGrad(dy, w, x.shape(), g); });
 }
 
 TEST(Determinism, HqtBitwiseIdentical)
