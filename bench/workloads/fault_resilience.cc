@@ -1,30 +1,30 @@
 /**
  * @file
  * Fault-resilience sweep: final accuracy of a quantized (HQT)
- * training run vs DRAM bit-flip rate under three protection levels
+ * training run vs DRAM bit-flip rate under two protection levels
  * (DESIGN.md §5):
  *
  *   unprotected   - faults land on bare FP32 masters
- *   rollback-only - guardrails + CRC checkpoints (detect/recover)
  *   ECC+ABFT      - in-situ SEC-DED over the masters with background
  *                   scrubbing, plus ABFT-checksummed GEMMs, plus the
- *                   rollback ladder underneath
+ *                   guardrail + checkpoint rollback ladder underneath
  *
  * A second sweep targets the PE-array accumulators (compute faults
- * no memory ECC can see). Quick mode runs the smoke subset the CI
- * resilience job greps (it still exercises both correction tiers).
+ * no memory ECC can see) with guardrails + ABFT. Every protected arm
+ * checkpoints into its own fresh generation store. Quick mode runs
+ * the smoke subset the CI resilience job greps (it still exercises
+ * both correction tiers).
  */
 
 #include <cmath>
-#include <cstdio>
-#include <memory>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "harness/workload.h"
-#include "nn/activation.h"
 #include "nn/datasets.h"
-#include "nn/linear.h"
 #include "nn/quant_trainer.h"
 #include "sim/faults/fault_injector.h"
 #include "workloads/all.h"
@@ -36,22 +36,9 @@ namespace {
 enum class Arm
 {
     Unprotected,
-    RollbackOnly,
     EccAbft,
-    GuardedCompute,     ///< accumulator faults, guardrails only
     GuardedComputeAbft, ///< accumulator faults, guardrails + ABFT
 };
-
-nn::Network
-makeMlp(std::uint64_t seed)
-{
-    Rng rng(seed);
-    nn::Network net;
-    net.add(std::make_unique<nn::Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<nn::Activation>("t", nn::ActKind::Tanh));
-    net.add(std::make_unique<nn::Linear>("fc2", 32, 2, rng));
-    return net;
-}
 
 struct SweepPoint
 {
@@ -62,18 +49,18 @@ struct SweepPoint
 };
 
 SweepPoint
-runArm(double rate, Arm arm, int steps, const std::string &ckpt)
+runArm(double rate, Arm arm, int steps, const std::string &ckptDir)
 {
     nn::SpiralDataset data(2, 0.1, 17);
-    nn::Network net = makeMlp(18);
+    nn::Network net = nn::makeSpiralMlp(18);
 
     nn::QuantTrainerConfig cfg;
     cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);
     cfg.optimizer.kind = nn::OptimizerKind::Adam;
     cfg.optimizer.lr = 5e-3;
     cfg.resilience.enabled = arm != Arm::Unprotected;
-    cfg.resilience.checkpointPath =
-        arm != Arm::Unprotected ? ckpt : "";
+    cfg.resilience.checkpointDir =
+        arm != Arm::Unprotected ? ckptDir : "";
     cfg.resilience.checkpointInterval = 10;
     if (arm == Arm::EccAbft) {
         cfg.resilience.ecc.enabled = true;
@@ -88,8 +75,7 @@ runArm(double rate, Arm arm, int steps, const std::string &ckpt)
     fcfg.seed = 0xBEEF;
     fcfg.bitFlipsPerMbit = rate;
     fcfg.burstLength = 1;
-    const bool computeArm = arm == Arm::GuardedCompute ||
-                            arm == Arm::GuardedComputeAbft;
+    const bool computeArm = arm == Arm::GuardedComputeAbft;
     fcfg.targetMasterWeights = !computeArm;
     fcfg.targetAccumulators = computeArm;
     sim::FaultInjector inj(fcfg);
@@ -127,15 +113,26 @@ run(const WorkloadContext &ctx)
     const std::vector<double> accRates =
         ctx.quick ? std::vector<double>{10.0}
                   : std::vector<double>{10.0, 50.0};
-    const std::string ckpt = "/tmp/cq_bench_fault_resilience.ckpt";
+    // One private directory per run; each protected arm gets a fresh
+    // store under it, so a rollback never restores another arm's (or
+    // another concurrent run's) weights.
+    std::string root = (std::filesystem::temp_directory_path() /
+                        "cq_bench_fault_resilience.XXXXXX")
+                           .string();
+    if (::mkdtemp(root.data()) == nullptr)
+        panic("cannot create checkpoint directory %s", root.c_str());
+    int stores = 0;
+    const auto freshStore = [&] {
+        return root + "/arm" + std::to_string(stores++);
+    };
 
     WorkloadResult out;
     for (const double rate : rates) {
         const std::string tag = std::to_string(
             static_cast<long long>(rate));
-        const SweepPoint un =
-            runArm(rate, Arm::Unprotected, steps, ckpt);
-        const SweepPoint ea = runArm(rate, Arm::EccAbft, steps, ckpt);
+        const SweepPoint un = runArm(rate, Arm::Unprotected, steps, "");
+        const SweepPoint ea =
+            runArm(rate, Arm::EccAbft, steps, freshStore());
         out.set("acc_unprotected_" + tag,
                 un.diverged ? 0.0 : un.accuracyPct, "%");
         out.set("acc_ecc_abft_" + tag,
@@ -158,8 +155,8 @@ run(const WorkloadContext &ctx)
     for (const double rate : accRates) {
         const std::string tag = std::to_string(
             static_cast<long long>(rate));
-        const SweepPoint ga =
-            runArm(rate, Arm::GuardedComputeAbft, steps, ckpt);
+        const SweepPoint ga = runArm(rate, Arm::GuardedComputeAbft,
+                                     steps, freshStore());
         out.set("acc_compute_abft_" + tag,
                 ga.diverged ? 0.0 : ga.accuracyPct, "%");
         if (rate == accRates.front()) {
@@ -170,7 +167,7 @@ run(const WorkloadContext &ctx)
                     ga.stats.get("abft.escalations"));
         }
     }
-    std::remove(ckpt.c_str());
+    std::filesystem::remove_all(root);
     out.notes = "faults on FP32 masters (post-encode for the ECC arm) "
                 "and on PE accumulators; burst length 1";
     return out;

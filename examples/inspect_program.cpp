@@ -80,7 +80,11 @@ main(int argc, char **argv)
                 std::min(prog.size(), start + count));
     for (std::size_t i = start;
          i < std::min(prog.size(), start + count); ++i) {
-        std::printf("  %6zu: %s\n", i, prog[i].toString().c_str());
+        const arch::Instr &ins = prog[i];
+        std::printf("  %6zu: %s ; %s\n", i, ins.toString().c_str(),
+                    ins.task == arch::kNoTask
+                        ? "-"
+                        : ir.tasks[ins.task].layer().c_str());
     }
 
     // ---- traced execution ----

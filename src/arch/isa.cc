@@ -75,8 +75,8 @@ Instr::toString() const
         os << " elems=" << elems;
     if (ways > 1)
         os << " ways=" << int(ways);
-    if (!tag.empty())
-        os << " ; " << tag;
+    if (task != kNoTask)
+        os << " task=" << task;
     return os.str();
 }
 
@@ -121,32 +121,6 @@ decodeInstr(const EncodedInstr &encoded)
     ins.bytes2 = encoded.words[6];
     ins.elems = encoded.words[7];
     return ins;
-}
-
-Bytes
-programLoadBytes(const Program &prog)
-{
-    Bytes total = 0;
-    for (const auto &ins : prog) {
-        if (ins.op == Opcode::VLOAD || ins.op == Opcode::SLOAD ||
-            ins.op == Opcode::QLOAD) {
-            total += ins.bytes;
-        }
-    }
-    return total;
-}
-
-Bytes
-programStoreBytes(const Program &prog)
-{
-    Bytes total = 0;
-    for (const auto &ins : prog) {
-        if (ins.op == Opcode::VSTORE || ins.op == Opcode::SSTORE ||
-            ins.op == Opcode::QSTORE || ins.op == Opcode::WGSTORE) {
-            total += ins.bytes;
-        }
-    }
-    return total;
 }
 
 bool

@@ -8,7 +8,8 @@
  * buffer. The compiler tags every instruction with the training phase
  * it belongs to (FW / NG / WG / WU plus the statistic and quantization
  * attribution buckets) so the simulator can reproduce the paper's
- * Fig. 12(b) breakdown.
+ * Fig. 12(b) breakdown, and with the index of the IR task (layer) that
+ * emitted it.
  */
 
 #ifndef CQ_ARCH_ISA_H
@@ -62,6 +63,9 @@ enum class Phase : std::uint8_t
 const char *phaseName(Phase phase);
 inline constexpr std::size_t kNumPhases = 6;
 
+/** Instr::task of an instruction that no IR task emitted. */
+inline constexpr std::uint32_t kNoTask = ~std::uint32_t(0);
+
 /** On-chip buffer targeted by a data instruction. */
 enum class BufId : std::uint8_t { None, NBin, SB, NBout };
 
@@ -104,8 +108,10 @@ struct Instr
      *  issues once all of them have completed. */
     std::vector<std::uint32_t> deps;
 
-    /** Origin label (layer name) for diagnostics. */
-    std::string tag;
+    /** Index of the compiler::WorkloadIR task that emitted this
+     *  instruction (the IR names its layer); kNoTask for CROSET and
+     *  hand-built programs. */
+    std::uint32_t task = kNoTask;
 
     /** Render as assembly-like text. */
     std::string toString() const;
@@ -126,7 +132,7 @@ using Program = std::vector<Instr>;
  *   word5: bytes              word6: bytes2
  *   word7: elems
  *
- * `deps` and `tag` are compiler metadata and are not encoded; the
+ * `deps` and `task` are compiler metadata and are not encoded; the
  * layout is an implementation contract checked by round-trip tests.
  */
 struct EncodedInstr
@@ -137,12 +143,8 @@ struct EncodedInstr
 /** Encode the architectural fields of @p instr. */
 EncodedInstr encodeInstr(const Instr &instr);
 
-/** Decode an instruction (deps/tag come back empty). */
+/** Decode an instruction (deps come back empty, task as kNoTask). */
 Instr decodeInstr(const EncodedInstr &encoded);
-
-/** Total bytes moved by memory instructions, by direction. */
-Bytes programLoadBytes(const Program &prog);
-Bytes programStoreBytes(const Program &prog);
 
 /**
  * Sanity-check dependence indices (must point backwards).

@@ -54,10 +54,10 @@ class Codegen
             Instr cro;
             cro.op = Opcode::CROSET;
             cro.phase = Phase::WU;
-            cro.tag = "ndpo-config";
             crosetIdx_ = emit(std::move(cro), {});
         }
-        for (const auto &task : ir_.tasks) {
+        for (task_ = 0; task_ < ir_.tasks.size(); ++task_) {
+            const Task &task = ir_.tasks[task_];
             switch (task.kind) {
               case Task::Kind::Gemm:
                 gemm(task.gemm);
@@ -111,6 +111,7 @@ class Codegen
         std::sort(deps.begin(), deps.end());
         deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
         ins.deps = std::move(deps);
+        ins.task = task_;
         prog_.push_back(std::move(ins));
         return static_cast<std::uint32_t>(prog_.size() - 1);
     }
@@ -202,7 +203,6 @@ class Codegen
             mv.bytes2 = q_bytes;
             mv.elems = elems;
             mv.ways = static_cast<std::uint8_t>(ways);
-            mv.tag = wq;
             noteWrite(wq, emit(std::move(mv), {}));
             return;
         }
@@ -215,7 +215,6 @@ class Codegen
         st.phase = Phase::Stat;
         st.addr = src;
         st.bytes = fp32_bytes;
-        st.tag = wq + ".stat";
         const auto stat_idx = emit(std::move(st), {});
 
         Instr ql;
@@ -223,7 +222,6 @@ class Codegen
         ql.phase = Phase::Quant;
         ql.addr = src;
         ql.bytes = fp32_bytes;
-        ql.tag = wq + ".qread";
         const auto qread_idx = emit(std::move(ql), {stat_idx});
 
         Instr qs;
@@ -231,7 +229,6 @@ class Codegen
         qs.phase = Phase::Quant;
         qs.addr = dst;
         qs.bytes = q_bytes;
-        qs.tag = wq + ".qwrite";
         noteWrite(wq, emit(std::move(qs), {qread_idx}));
     }
 
@@ -244,8 +241,7 @@ class Codegen
     std::uint32_t
     quantizedStore(const std::string &tensor, Addr addr,
                    std::uint64_t elems, Phase phase, unsigned ways,
-                   std::vector<std::uint32_t> deps,
-                   const std::string &tag)
+                   std::vector<std::uint32_t> deps)
     {
         const Bytes q_bytes =
             std::max<Bytes>(1, elems * opt_.bits / 8);
@@ -258,7 +254,6 @@ class Codegen
             qs.elems = elems;
             qs.ways = static_cast<std::uint8_t>(ways);
             qs.buf = BufId::NBout;
-            qs.tag = tag;
             const auto idx = emit(std::move(qs), std::move(deps));
             noteWrite(tensor, idx);
             return idx;
@@ -275,14 +270,12 @@ class Codegen
         st.op = Opcode::HMUL; // max-reduction pass
         st.phase = Phase::Stat;
         st.elems = elems;
-        st.tag = tag + ".stat";
         const auto stat_idx = emit(std::move(st), std::move(deps));
 
         Instr qk;
         qk.op = Opcode::VMUL; // candidate quantization passes
         qk.phase = Phase::Quant;
         qk.elems = elems * ways;
-        qk.tag = tag + ".quant";
         const auto quant_idx = emit(std::move(qk), {stat_idx});
 
         Instr qw;
@@ -291,7 +284,6 @@ class Codegen
         qw.addr = addr;
         qw.bytes = q_bytes;
         qw.buf = BufId::NBout;
-        qw.tag = tag + ".qwrite";
         const auto idx = emit(std::move(qw), {quant_idx});
         noteWrite(tensor, idx);
         return idx;
@@ -310,6 +302,8 @@ class Codegen
     std::map<std::string, std::uint32_t> lastWriter_;
     std::set<std::string> quantizedWeights_;
     std::uint32_t crosetIdx_ = 0;
+    /** Index of the IR task being lowered (Instr::task). */
+    std::uint32_t task_ = arch::kNoTask;
 };
 
 void
@@ -469,7 +463,6 @@ Codegen::gemm(const GemmTask &task)
         la.elems = task.aIsFp32 ? a_tile_bytes / 4 : 0;
         la.ways = static_cast<std::uint8_t>(task.waysA);
         la.buf = BufId::NBin;
-        la.tag = task.layer + ".A";
         return emit(std::move(la), a_deps);
     };
     const auto emit_load_b = [&](std::uint64_t nt, std::uint64_t kt) {
@@ -479,7 +472,6 @@ Codegen::gemm(const GemmTask &task)
                                std::max<Bytes>(b_bytes, 64);
         lb.bytes = b_tile_bytes;
         lb.buf = BufId::SB;
-        lb.tag = task.layer + ".B";
         if (n_tiles > 1) {
             // A (k_t x n_t) sub-tile of the row-major (k x n) tensor
             // is strided: one stripe of n_t elements per k row. The
@@ -515,7 +507,6 @@ Codegen::gemm(const GemmTask &task)
         mm.k = static_cast<std::uint32_t>(k_cur);
         mm.bitsA = static_cast<std::uint8_t>(bits);
         mm.bitsB = static_cast<std::uint8_t>(bits);
-        mm.tag = task.layer;
         return emit(std::move(mm), {dep_a, dep_b});
     };
     Addr c_cursor = c_base;
@@ -531,7 +522,6 @@ Codegen::gemm(const GemmTask &task)
             act.op = Opcode::SFU;
             act.phase = task.phase;
             act.elems = m_cur * n_cur;
-            act.tag = task.layer + ".act";
             store_dep = emit(std::move(act), {mm_dep});
         }
         if (task.outFp32) {
@@ -547,7 +537,6 @@ Codegen::gemm(const GemmTask &task)
                            (c_cursor - c_base);
                 wgs.bytes = c_tile_elems * 4;
                 wgs.elems = c_tile_elems;
-                wgs.tag = task.layer + ".wgstore";
                 noteWrite(task.cTensor,
                           emit(std::move(wgs),
                                {store_dep, crosetIdx_}));
@@ -558,14 +547,12 @@ Codegen::gemm(const GemmTask &task)
                 vs.addr = c_cursor;
                 vs.bytes = c_tile_elems * 4;
                 vs.buf = BufId::NBout;
-                vs.tag = task.layer + ".C";
                 noteWrite(task.cTensor,
                           emit(std::move(vs), {store_dep}));
             }
         } else {
             quantizedStore(task.cTensor, c_cursor, c_tile_elems,
-                           task.phase, task.waysOut, {store_dep},
-                           task.layer + ".C");
+                           task.phase, task.waysOut, {store_dep});
         }
         c_cursor += c_tile_bytes;
     };
@@ -665,7 +652,6 @@ Codegen::stream(const StreamTask &task)
         li.addr = in_base + c * chunk * in_elem;
         li.bytes = std::max<Bytes>(in_elems * in_elem, 1);
         li.buf = BufId::NBin;
-        li.tag = task.layer + ".in";
         std::vector<std::uint32_t> deps = in_deps;
         const auto li_idx = emit(std::move(li), std::move(deps));
 
@@ -678,7 +664,6 @@ Codegen::stream(const StreamTask &task)
             l2.bytes = std::max<Bytes>(
                 (task.inElems2 / chunks) * in_elem, 1);
             l2.buf = BufId::NBin;
-            l2.tag = task.layer + ".in2";
             sfu_deps.push_back(emit(std::move(l2), in2_deps));
         }
 
@@ -686,7 +671,6 @@ Codegen::stream(const StreamTask &task)
         sf.op = Opcode::SFU;
         sf.phase = task.phase;
         sf.elems = sfu_ops;
-        sf.tag = task.layer + ".sfu";
         const auto sf_idx = emit(std::move(sf), std::move(sfu_deps));
 
         if (task.outFp32) {
@@ -700,7 +684,6 @@ Codegen::stream(const StreamTask &task)
                            c * chunk * 4;
                 wgs.bytes = out_elems * 4;
                 wgs.elems = out_elems;
-                wgs.tag = task.layer + ".wgstore";
                 noteWrite(task.outTensor,
                           emit(std::move(wgs), {sf_idx, crosetIdx_}));
             } else {
@@ -710,7 +693,6 @@ Codegen::stream(const StreamTask &task)
                 vs.addr = out_base + c * chunk * 4;
                 vs.bytes = out_elems * 4;
                 vs.buf = BufId::NBout;
-                vs.tag = task.layer + ".out";
                 noteWrite(task.outTensor,
                           emit(std::move(vs), {sf_idx}));
             }
@@ -718,7 +700,7 @@ Codegen::stream(const StreamTask &task)
             quantizedStore(task.outTensor,
                            out_base + c * chunk * out_elem_bytes,
                            out_elems, task.phase, task.waysOut,
-                           {sf_idx}, task.layer + ".out");
+                           {sf_idx});
         }
     }
 }
@@ -759,7 +741,6 @@ Codegen::update(const UpdateTask &task)
         lg.addr = wg_base + c * chunk * 4;
         lg.bytes = bytes;
         lg.buf = BufId::NBin;
-        lg.tag = task.layer + ".dW";
         compute_deps.push_back(emit(std::move(lg), wg_deps));
 
         Instr lw;
@@ -768,7 +749,6 @@ Codegen::update(const UpdateTask &task)
         lw.addr = w_base + c * chunk * 4;
         lw.bytes = bytes;
         lw.buf = BufId::NBin;
-        lw.tag = task.layer + ".w";
         compute_deps.push_back(emit(std::move(lw), {}));
 
         for (unsigned s = 0; s < state; ++s) {
@@ -778,7 +758,6 @@ Codegen::update(const UpdateTask &task)
             ls.addr = (s == 0 ? m_base : v_base) + c * chunk * 4;
             ls.bytes = bytes;
             ls.buf = BufId::NBin;
-            ls.tag = task.layer + (s == 0 ? ".m" : ".v");
             compute_deps.push_back(emit(std::move(ls), {}));
         }
 
@@ -787,7 +766,6 @@ Codegen::update(const UpdateTask &task)
         vm.op = Opcode::VMUL;
         vm.phase = Phase::WU;
         vm.elems = elems * (2 + 2 * state);
-        vm.tag = task.layer + ".opt";
         const auto vm_idx =
             emit(std::move(vm), std::move(compute_deps));
 
@@ -797,7 +775,6 @@ Codegen::update(const UpdateTask &task)
         sw.addr = w_base + c * chunk * 4;
         sw.bytes = bytes;
         sw.buf = BufId::NBout;
-        sw.tag = task.layer + ".w'";
         emit(std::move(sw), {vm_idx});
 
         for (unsigned s = 0; s < state; ++s) {
@@ -807,7 +784,6 @@ Codegen::update(const UpdateTask &task)
             ss.addr = (s == 0 ? m_base : v_base) + c * chunk * 4;
             ss.bytes = bytes;
             ss.buf = BufId::NBout;
-            ss.tag = task.layer + (s == 0 ? ".m'" : ".v'");
             emit(std::move(ss), {vm_idx});
         }
     }

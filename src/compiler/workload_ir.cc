@@ -43,6 +43,18 @@ Task::make(AliasTask t)
     return task;
 }
 
+const std::string &
+Task::layer() const
+{
+    switch (kind) {
+      case Kind::Gemm:   return gemm.layer;
+      case Kind::Stream: return stream.layer;
+      case Kind::Update: return update.layer;
+      case Kind::Alias:  break;
+    }
+    return alias.outTensor;
+}
+
 void
 WorkloadIR::finalize()
 {

@@ -157,6 +157,9 @@ struct Task
     static Task make(StreamTask t);
     static Task make(UpdateTask t);
     static Task make(AliasTask t);
+
+    /** The layer this task lowers (an Alias task's output tensor). */
+    const std::string &layer() const;
 };
 
 /** A whole training minibatch of one network. */

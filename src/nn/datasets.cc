@@ -9,6 +9,8 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/activation.h"
+#include "nn/linear.h"
 
 namespace cq::nn {
 
@@ -119,6 +121,17 @@ SpiralDataset::evalSet(std::size_t size) const
 {
     Rng rng(seed_ ^ 0x5e4au);
     return generate(size, rng);
+}
+
+Network
+makeSpiralMlp(std::uint64_t seed)
+{
+    Rng rng(seed);
+    Network net;
+    net.add(std::make_unique<Linear>("fc1", 2, 32, rng));
+    net.add(std::make_unique<Activation>("t", ActKind::Tanh));
+    net.add(std::make_unique<Linear>("fc2", 32, 2, rng));
+    return net;
 }
 
 MarkovTextDataset::MarkovTextDataset(std::size_t vocab,

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "nn/network.h"
 #include "tensor/tensor.h"
 
 namespace cq::nn {
@@ -87,6 +88,12 @@ class SpiralDataset
     std::uint64_t seed_;
     Rng rng_;
 };
+
+/**
+ * The spiral classifier: fc1 (2 -> 32), tanh, fc2 (32 -> 2), with
+ * weights drawn from @p seed.
+ */
+Network makeSpiralMlp(std::uint64_t seed);
 
 /** A token-sequence batch for language modeling. */
 struct SequenceBatch

@@ -395,12 +395,6 @@ writeCheckpointEx(const std::string &path, const TrainerSnapshot &snap,
     return CheckpointWriteResult::Ok;
 }
 
-bool
-writeCheckpoint(const std::string &path, const TrainerSnapshot &snap)
-{
-    return writeCheckpointEx(path, snap) == CheckpointWriteResult::Ok;
-}
-
 CheckpointLoadResult
 readCheckpoint(const std::string &path, TrainerSnapshot &out)
 {

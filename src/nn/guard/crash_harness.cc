@@ -13,12 +13,8 @@
 #include "common/failpoint.h"
 #include "common/fileutil.h"
 #include "common/logging.h"
-#include "common/rng.h"
-#include "nn/activation.h"
 #include "nn/datasets.h"
 #include "nn/guard/ckpt_store.h"
-#include "nn/linear.h"
-#include "nn/network.h"
 #include "nn/quant_trainer.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -27,29 +23,13 @@
 
 namespace cq::nn::guard {
 
-namespace {
-
-/** The canonical spiral MLP (same shape as the resilience tests). */
-Network
-makeMlp(std::uint64_t seed)
-{
-    Rng rng(seed);
-    Network net;
-    net.add(std::make_unique<Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<Activation>("t", ActKind::Tanh));
-    net.add(std::make_unique<Linear>("fc2", 32, 2, rng));
-    return net;
-}
-
-} // namespace
-
 CrashHarnessResult
 runCrashHarness(const CrashHarnessConfig &config)
 {
     CrashHarnessResult result;
 
     SpiralDataset data(2, 0.1, config.seed);
-    Network net = makeMlp(config.seed + 1);
+    Network net = makeSpiralMlp(config.seed + 1);
 
     QuantTrainerConfig cfg;
     cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);
@@ -133,7 +113,7 @@ runCrashHarness(const CrashHarnessConfig &config)
     if (!config.traceOut.empty())
         obs::TraceSession::instance().writeChromeTrace(config.traceOut);
 
-    // Dump the masters exactly as they sit in memory. finishStep
+    // Dump the masters exactly as they sit in memory. commitStep
     // leaves params' values equal to the masters, so the network is
     // the source of truth here; bytes (not floats) because the
     // comparison must be bitwise.

@@ -334,7 +334,7 @@ QuantTrainer::beginStep()
 }
 
 double
-QuantTrainer::finishStep(double loss)
+QuantTrainer::commitStep(double loss)
 {
     restoreMasterWeights();
     if (faults_ != nullptr) {
@@ -488,18 +488,11 @@ QuantTrainer::emitStepTelemetry(double loss, double grad_max_abs)
     telemetrySink_->onStep(rec);
 }
 
-bool
-QuantTrainer::checkpointingEnabled() const
-{
-    return store_ != nullptr ||
-           !config_.resilience.checkpointPath.empty();
-}
-
 void
 QuantTrainer::maybeCheckpoint()
 {
     const ResilienceConfig &r = config_.resilience;
-    if (!checkpointingEnabled() || r.checkpointInterval == 0)
+    if (store_ == nullptr || r.checkpointInterval == 0)
         return;
     if (step_ != 1 && step_ % r.checkpointInterval != 0)
         return;
@@ -543,24 +536,15 @@ QuantTrainer::makeSnapshot() const
 bool
 QuantTrainer::checkpointNow()
 {
-    const ResilienceConfig &r = config_.resilience;
-    CQ_ASSERT_MSG(checkpointingEnabled(),
-                  "checkpointNow without a checkpoint destination");
-    bool ok;
-    if (store_ != nullptr) {
-        // Synchronous commit: drain in-flight async work first so
-        // this snapshot lands as the newest generation (the final
-        // shutdown checkpoint relies on that ordering).
-        if (asyncWriter_ != nullptr)
-            asyncWriter_->drain();
-        ok = store_->commit(makeSnapshot()) ==
-             guard::CheckpointWriteResult::Ok;
-    } else {
-        ok = guard::writeCheckpointEx(r.checkpointPath,
-                                      makeSnapshot(),
-                                      r.writeOptions) ==
-             guard::CheckpointWriteResult::Ok;
-    }
+    CQ_ASSERT_MSG(store_ != nullptr,
+                  "checkpointNow without a checkpoint directory");
+    // Synchronous commit: drain in-flight async work first so this
+    // snapshot lands as the newest generation (the final shutdown
+    // checkpoint relies on that ordering).
+    if (asyncWriter_ != nullptr)
+        asyncWriter_->drain();
+    const bool ok = store_->commit(makeSnapshot()) ==
+                    guard::CheckpointWriteResult::Ok;
     if (monitor_ != nullptr)
         monitor_->stats().add(ok ? "guard.checkpointsWritten"
                                  : "guard.checkpointFailures",
@@ -613,35 +597,21 @@ QuantTrainer::restoreFromSnapshot(const guard::TrainerSnapshot &snap)
 void
 QuantTrainer::rollback()
 {
-    const ResilienceConfig &r = config_.resilience;
-    if (!checkpointingEnabled())
+    if (store_ == nullptr)
         return;
+    // The newest generation may still be in flight on the writer
+    // thread; drain so the rollback sees everything committed.
+    if (asyncWriter_ != nullptr)
+        asyncWriter_->drain();
     guard::TrainerSnapshot snap;
-    if (store_ != nullptr) {
-        // The newest generation may still be in flight on the writer
-        // thread; drain so the rollback sees everything committed.
-        if (asyncWriter_ != nullptr)
-            asyncWriter_->drain();
-        const auto outcome = store_->loadLatest(snap);
-        if (outcome.result != guard::CheckpointLoadResult::Ok) {
-            warn("rollback: no Ok generation in %s (%s, %llu skipped)",
-                 r.checkpointDir.c_str(),
-                 guard::checkpointLoadResultName(outcome.result),
-                 static_cast<unsigned long long>(
-                     outcome.skippedCorrupt));
-            monitor_->stats().add("guard.rollbackFailures", 1.0);
-            return;
-        }
-    } else {
-        const auto result =
-            guard::readCheckpoint(r.checkpointPath, snap);
-        if (result != guard::CheckpointLoadResult::Ok) {
-            warn("rollback: checkpoint %s unusable (%s)",
-                 r.checkpointPath.c_str(),
-                 guard::checkpointLoadResultName(result));
-            monitor_->stats().add("guard.rollbackFailures", 1.0);
-            return;
-        }
+    const auto outcome = store_->loadLatest(snap);
+    if (outcome.result != guard::CheckpointLoadResult::Ok) {
+        warn("rollback: no Ok generation in %s (%s, %llu skipped)",
+             config_.resilience.checkpointDir.c_str(),
+             guard::checkpointLoadResultName(outcome.result),
+             static_cast<unsigned long long>(outcome.skippedCorrupt));
+        monitor_->stats().add("guard.rollbackFailures", 1.0);
+        return;
     }
     if (!restoreFromSnapshot(snap)) {
         monitor_->stats().add("guard.rollbackFailures", 1.0);
@@ -716,7 +686,7 @@ QuantTrainer::pollShutdown()
         cancelObserved_
             ? cancelReasonName(config_.resilience.cancel->reason())
             : "signal";
-    if (checkpointingEnabled()) {
+    if (store_ != nullptr) {
         const bool ok = checkpointNow();
         inform("shutdown (%s): %s final checkpoint at step %zu", why,
                ok ? "wrote" : "FAILED to write", step_);
@@ -758,12 +728,6 @@ QuantTrainer::forwardBackwardClassification(
     return loss;
 }
 
-double
-QuantTrainer::commitStep(double loss)
-{
-    return finishStep(loss);
-}
-
 void
 QuantTrainer::abandonStep()
 {
@@ -793,7 +757,7 @@ QuantTrainer::stepLanguageModel(const Tensor &inputs,
     // Hand the gradient back in the network's native output shape.
     grad.reshape(out_shape);
     backwardQuantized(grad);
-    return finishStep(loss);
+    return commitStep(loss);
 }
 
 double

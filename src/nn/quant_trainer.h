@@ -86,14 +86,12 @@ struct ResilienceConfig
     /** False keeps the legacy trainer behaviour (no monitoring). */
     bool enabled = false;
     guard::GuardrailConfig guardrails;
-    /** Legacy single-file checkpoint; empty disables it. Superseded
-     *  by checkpointDir when both are set. */
-    std::string checkpointPath;
     /**
      * Generation-store directory (nn/guard/ckpt_store.h): commits are
      * crash-consistent "ckpt-<gen>.bin" files under a CRC'd manifest
      * with keep-K retention, and resumeFrom() can restart a killed
-     * run from the newest Ok generation. Empty = use checkpointPath.
+     * run from the newest Ok generation. Empty disables checkpoints
+     * and rollback.
      */
     std::string checkpointDir;
     /** Generations kept by the store's retention (>= 1). */
@@ -103,7 +101,7 @@ struct ResilienceConfig
      * (guard::AsyncCheckpointWriter): the training thread only copies
      * tensors at the step boundary. Rollback and the final shutdown
      * checkpoint drain the writer first. Only honoured with
-     * checkpointDir; the legacy path stays synchronous.
+     * checkpointDir.
      */
     bool asyncCheckpoint = false;
     /**
@@ -334,8 +332,6 @@ class QuantTrainer
   private:
     /** Begin a step: fault injection + master scan + weight load. */
     void beginStep();
-    /** Finish a step: gradient guards, watchdog, update-or-rollback. */
-    double finishStep(double loss);
     /** Swap quantized weights into the network (masters saved). */
     void loadQuantizedWeights();
     /** Restore master weights (keeping accumulated gradients). */
@@ -357,8 +353,6 @@ class QuantTrainer
     void pollShutdown();
     /** Observe step metrics and deliver the StepTelemetry record. */
     void emitStepTelemetry(double loss, double grad_max_abs);
-    /** True when any checkpoint destination is configured. */
-    bool checkpointingEnabled() const;
     /** Scrub + demand-correct every master; trips on double bits. */
     void correctMastersEcc();
     /** Recompute every master's check bits (after a rewrite). */

@@ -329,6 +329,11 @@ TEST(Isa, InstrToStringMentionsFields)
     EXPECT_NE(s.find("MM"), std::string::npos);
     EXPECT_NE(s.find("WG"), std::string::npos);
     EXPECT_NE(s.find("m=3"), std::string::npos);
+    // A hand-built instruction belongs to no IR task.
+    EXPECT_EQ(ins.task, kNoTask);
+    EXPECT_EQ(s.find("task="), std::string::npos);
+    ins.task = 42;
+    EXPECT_NE(ins.toString().find("task=42"), std::string::npos);
 }
 
 TEST(Isa, ValidateRejectsForwardDeps)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "arch/accelerator.h"
 #include "arch/isa.h"
@@ -193,6 +194,56 @@ TEST(IsaEncoding, WholeProgramRoundTrips)
         EXPECT_EQ(back.bytes, ins.bytes);
         EXPECT_EQ(back.elems, ins.elems);
         EXPECT_EQ(back.m, ins.m);
+    }
+}
+
+// ------------------------------------------- instruction origin
+
+TEST(CodegenTask, EveryInstructionNamesTheTaskThatEmittedIt)
+{
+    std::vector<WorkloadIR> irs = compiler::allBenchmarks();
+    irs.push_back(compiler::buildTinyCnn());
+    irs.push_back(compiler::buildTinyMlp());
+    for (const WorkloadIR &ir : irs) {
+        for (const bool tpu : {false, true}) {
+            SCOPED_TRACE(ir.name + (tpu ? " on TPU" : " on CQ"));
+            const arch::CambriconQConfig cfg =
+                tpu ? baseline::tpuConfig()
+                    : arch::CambriconQConfig::edge();
+            CodegenOptions opts;
+            opts.target = tpu ? CodegenOptions::Target::Tpu
+                              : CodegenOptions::Target::CambriconQ;
+            const bool ndp = !tpu && cfg.ndpEnabled;
+            const arch::Program prog =
+                compiler::generateProgram(ir, cfg, opts);
+            ASSERT_FALSE(prog.empty());
+            std::uint32_t prev = 0;
+            for (std::size_t i = 0; i < prog.size(); ++i) {
+                const arch::Instr &ins = prog[i];
+                if (ins.op == arch::Opcode::CROSET) {
+                    ASSERT_EQ(ins.task, arch::kNoTask) << i;
+                    continue;
+                }
+                // Every other instruction names a task, in task order.
+                ASSERT_LT(ins.task, ir.tasks.size())
+                    << i << ": " << ins.toString();
+                ASSERT_GE(ins.task, prev) << i << ": " << ins.toString();
+                prev = ins.task;
+                const Task::Kind kind = ir.tasks[ins.task].kind;
+                if (ins.op == arch::Opcode::MM ||
+                    ins.op == arch::Opcode::CONV) {
+                    ASSERT_EQ(kind, Task::Kind::Gemm)
+                        << i << ": " << ins.toString();
+                }
+                // The non-NDP optimizer's loads, arithmetic and
+                // stores come from Update tasks and only those; on
+                // NDP targets Update tasks emit nothing.
+                const bool optimizer =
+                    !ndp && ins.phase == arch::Phase::WU;
+                ASSERT_EQ(kind == Task::Kind::Update, optimizer)
+                    << i << ": " << ins.toString();
+            }
+        }
     }
 }
 

@@ -603,7 +603,8 @@ TEST(CheckpointDiagnostics, CorruptTensorNamedInWarnLog)
     snap.masters = {t};
     snap.m = {t};
     snap.v = {t};
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, snap));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, snap),
+              nn::guard::CheckpointWriteResult::Ok);
 
     // Flip one payload byte inside the last tensor record (group v).
     std::FILE *f = std::fopen(path.c_str(), "rb+");
@@ -636,7 +637,8 @@ TEST(CheckpointDiagnostics, TruncationNamedInWarnLog)
     snap.masters = {t};
     snap.m = {t};
     snap.v = {t};
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, snap));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, snap),
+              nn::guard::CheckpointWriteResult::Ok);
     std::FILE *f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 0, SEEK_END);

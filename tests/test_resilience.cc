@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <unistd.h>
 #include <memory>
@@ -25,6 +26,7 @@
 #include "nn/activation.h"
 #include "nn/datasets.h"
 #include "nn/guard/checkpoint.h"
+#include "nn/guard/ckpt_store.h"
 #include "nn/guard/guardrails.h"
 #include "nn/linear.h"
 #include "nn/network.h"
@@ -35,12 +37,22 @@ namespace cq {
 namespace {
 
 using nn::guard::CheckpointLoadResult;
+using nn::guard::CheckpointWriteResult;
 using nn::guard::TrainerSnapshot;
 
 std::string
 tempPath(const char *name)
 {
     return ::testing::TempDir() + name;
+}
+
+/** An empty checkpoint-store directory under the test temp dir. */
+std::string
+freshDir(const char *name)
+{
+    const std::string dir = tempPath(name);
+    std::filesystem::remove_all(dir);
+    return dir;
 }
 
 // ---------------------------------------------------------------- CRC32
@@ -286,7 +298,8 @@ TEST(Checkpoint, RoundTripsBitwise)
 {
     const std::string path = tempPath("ckpt_roundtrip.bin");
     const TrainerSnapshot snap = makeSnapshot();
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, snap));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, snap),
+              CheckpointWriteResult::Ok);
 
     TrainerSnapshot back;
     ASSERT_EQ(nn::guard::readCheckpoint(path, back),
@@ -323,7 +336,8 @@ TEST(Checkpoint, MissingFileClassified)
 TEST(Checkpoint, CorruptedTensorPayloadDetected)
 {
     const std::string path = tempPath("ckpt_corrupt.bin");
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, makeSnapshot()));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, makeSnapshot()),
+              CheckpointWriteResult::Ok);
 
     // Flip one byte deep in the tensor payload region.
     FILE *f = std::fopen(path.c_str(), "r+b");
@@ -343,7 +357,8 @@ TEST(Checkpoint, CorruptedTensorPayloadDetected)
 TEST(Checkpoint, TruncatedFileDetected)
 {
     const std::string path = tempPath("ckpt_truncated.bin");
-    ASSERT_TRUE(nn::guard::writeCheckpoint(path, makeSnapshot()));
+    ASSERT_EQ(nn::guard::writeCheckpointEx(path, makeSnapshot()),
+              CheckpointWriteResult::Ok);
     FILE *f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 0, SEEK_END);
@@ -417,17 +432,6 @@ TEST(NdpFaults, AttachedInjectorCorruptsDramRows)
 
 // ------------------------------------------------------------ end-to-end
 
-nn::Network
-makeMlp(std::uint64_t seed)
-{
-    Rng rng(seed);
-    nn::Network net;
-    net.add(std::make_unique<nn::Linear>("fc1", 2, 32, rng));
-    net.add(std::make_unique<nn::Activation>("t", nn::ActKind::Tanh));
-    net.add(std::make_unique<nn::Linear>("fc2", 32, 2, rng));
-    return net;
-}
-
 struct RunResult
 {
     double finalLoss = 0.0;
@@ -445,17 +449,17 @@ struct RunResult
  * recover afterwards.
  */
 RunResult
-runSpiral(bool guardrails, double faultRate, const std::string &ckpt)
+runSpiral(bool guardrails, double faultRate, const std::string &ckptDir)
 {
     nn::SpiralDataset data(2, 0.1, 17);
-    nn::Network net = makeMlp(18);
+    nn::Network net = nn::makeSpiralMlp(18);
 
     nn::QuantTrainerConfig cfg;
     cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);
     cfg.optimizer.kind = nn::OptimizerKind::Adam;
     cfg.optimizer.lr = 5e-3;
     cfg.resilience.enabled = guardrails;
-    cfg.resilience.checkpointPath = guardrails ? ckpt : "";
+    cfg.resilience.checkpointDir = guardrails ? ckptDir : "";
     cfg.resilience.checkpointInterval = 10;
     nn::QuantTrainer trainer(net, cfg);
 
@@ -489,16 +493,20 @@ constexpr double kAggressiveRate = 4000.0;
 
 TEST(Resilience, EndToEndRecoveryVsDivergence)
 {
-    const std::string ckpt = tempPath("ckpt_e2e.bin");
+    // One fresh store per run, so a rollback never restores another
+    // run's weights.
+    const std::string cleanDir = freshDir("ckpt_e2e_clean");
+    const std::string guardedDir = freshDir("ckpt_e2e_guarded");
 
     // Clean run: the tolerance baseline.
-    const RunResult clean = runSpiral(true, 0.0, ckpt);
+    const RunResult clean = runSpiral(true, 0.0, cleanDir);
     EXPECT_EQ(clean.rollbacks, 0u);
     EXPECT_GT(clean.accuracy, 0.88);
 
     // Faulted run with guardrails: trips must fire, rollbacks must
     // restore CRC-verified state, and the run must end close to clean.
-    const RunResult guarded = runSpiral(true, kAggressiveRate, ckpt);
+    const RunResult guarded =
+        runSpiral(true, kAggressiveRate, guardedDir);
     EXPECT_GT(guarded.breakerTrips + guarded.watchdogTrips, 0.0);
     EXPECT_GE(guarded.rollbacks, 1u);
     EXPECT_TRUE(std::isfinite(guarded.finalLoss));
@@ -507,7 +515,7 @@ TEST(Resilience, EndToEndRecoveryVsDivergence)
 
     // Same faults, guardrails off: the run must visibly diverge —
     // non-finite losses or a final state far from the clean run.
-    const RunResult bare = runSpiral(false, kAggressiveRate, ckpt);
+    const RunResult bare = runSpiral(false, kAggressiveRate, "");
     const bool diverged =
         bare.sawNonFinite || !std::isfinite(bare.finalLoss) ||
         bare.finalLoss > 10.0 * clean.finalLoss + 1.0 ||
@@ -516,13 +524,14 @@ TEST(Resilience, EndToEndRecoveryVsDivergence)
         << "unguarded run: loss=" << bare.finalLoss
         << " acc=" << bare.accuracy;
 
-    std::remove(ckpt.c_str());
+    std::filesystem::remove_all(cleanDir);
+    std::filesystem::remove_all(guardedDir);
 }
 
 TEST(Resilience, FaultedTrainingDeterministicAcrossThreadCounts)
 {
-    const std::string ckptA = tempPath("ckpt_thr1.bin");
-    const std::string ckptB = tempPath("ckpt_thr4.bin");
+    const std::string ckptA = freshDir("ckpt_thr1");
+    const std::string ckptB = freshDir("ckpt_thr4");
     auto &pool = ThreadPool::instance();
 
     pool.setNumThreads(1);
@@ -538,19 +547,19 @@ TEST(Resilience, FaultedTrainingDeterministicAcrossThreadCounts)
     EXPECT_EQ(serial.rollbacks, parallel.rollbacks);
     EXPECT_EQ(serial.watchdogTrips, parallel.watchdogTrips);
     EXPECT_EQ(serial.breakerTrips, parallel.breakerTrips);
-    std::remove(ckptA.c_str());
-    std::remove(ckptB.c_str());
+    std::filesystem::remove_all(ckptA);
+    std::filesystem::remove_all(ckptB);
 }
 
 TEST(Resilience, CheckpointNowWritesLoadableSnapshot)
 {
-    const std::string ckpt = tempPath("ckpt_now.bin");
+    const std::string ckpt = freshDir("ckpt_now");
     nn::SpiralDataset data(2, 0.1, 17);
-    nn::Network net = makeMlp(18);
+    nn::Network net = nn::makeSpiralMlp(18);
     nn::QuantTrainerConfig cfg;
     cfg.optimizer.kind = nn::OptimizerKind::Adam;
     cfg.resilience.enabled = true;
-    cfg.resilience.checkpointPath = ckpt;
+    cfg.resilience.checkpointDir = ckpt;
     nn::QuantTrainer trainer(net, cfg);
     for (int i = 0; i < 3; ++i) {
         const auto b = data.sample(32);
@@ -558,12 +567,14 @@ TEST(Resilience, CheckpointNowWritesLoadableSnapshot)
     }
     ASSERT_TRUE(trainer.checkpointNow());
     TrainerSnapshot snap;
-    ASSERT_EQ(nn::guard::readCheckpoint(ckpt, snap),
+    nn::guard::CheckpointStoreConfig scfg;
+    scfg.dir = ckpt;
+    ASSERT_EQ(nn::guard::CheckpointStore(scfg).loadLatest(snap).result,
               CheckpointLoadResult::Ok);
     EXPECT_EQ(snap.step, 3u);
     EXPECT_EQ(snap.optimizerStep, 3u);
     EXPECT_EQ(snap.masters.size(), 4u); // fc1 w/b + fc2 w/b
-    std::remove(ckpt.c_str());
+    std::filesystem::remove_all(ckpt);
 }
 
 TEST(Resilience, DisabledResilienceMatchesLegacyTrainer)
@@ -572,7 +583,7 @@ TEST(Resilience, DisabledResilienceMatchesLegacyTrainer)
     // exactly as before the subsystem existed.
     auto run = [](bool enabled) {
         nn::SpiralDataset data(2, 0.1, 17);
-        nn::Network net = makeMlp(18);
+        nn::Network net = nn::makeSpiralMlp(18);
         nn::QuantTrainerConfig cfg;
         cfg.algorithm = quant::AlgorithmConfig::zhang2020Hqt(64);
         cfg.optimizer.kind = nn::OptimizerKind::Adam;

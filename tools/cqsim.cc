@@ -920,8 +920,13 @@ main(int argc, char **argv)
         std::printf("\ndisassembly (first %zu):\n",
                     std::min(disasm, prog.size()));
         for (std::size_t i = 0; i < std::min(disasm, prog.size());
-             ++i)
-            std::printf("  %6zu: %s\n", i, prog[i].toString().c_str());
+             ++i) {
+            const arch::Instr &ins = prog[i];
+            std::printf("  %6zu: %s ; %s\n", i, ins.toString().c_str(),
+                        ins.task == arch::kNoTask
+                            ? "-"
+                            : ir.tasks[ins.task].layer().c_str());
+        }
     }
 
     arch::Accelerator acc(cfg);
